@@ -1,11 +1,12 @@
 //! Fleet serving throughput across shard counts.
 //!
-//! Serves the same Zipf `(user, query)` batch through a `ServeRouter` at
-//! 1, 4, and 16 shards. Two signals come out:
+//! Serves the same Zipf `(user, query)` batch through a search
+//! `Frontend` in its `pr3_baseline` configuration at 1, 4, and 16 shards.
+//! Two signals come out:
 //!
-//! * Criterion wall-clock timings of `serve_batch` (hardware-dependent —
-//!   on a single-core host the sharded runs mostly measure scheduling,
-//!   not speedup);
+//! * Criterion wall-clock timings of `serve_batch` (hardware-dependent;
+//!   the batch executes its serves inline on the calling thread, so
+//!   these time the serve path and the queue model, not a fan-out);
 //! * a printed simulated-throughput table: per-shard busy time is summed
 //!   in simulated device time, so `events / makespan` is
 //!   machine-independent and is the number the scaling claim rests on.
@@ -16,12 +17,12 @@
 //! hit path) against its PR 3 baseline configuration on the
 //! duplicate-heavy Zipf batch, with the same two signals.
 
-use cloudlet_core::frontend::{FrontendConfig, ServeRequest};
+use cloudlet_core::frontend::FrontendConfig;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use pocket_bench::{fleet_workload, frontend_workload, test_scale_study_inputs};
 use pocketsearch::config::PocketSearchConfig;
 use pocketsearch::engine::PocketSearch;
-use pocketsearch::fleet::{search_frontend, ServeRouter};
+use pocketsearch::fleet::search_frontend;
 use std::hint::black_box;
 
 const SHARD_COUNTS: [usize; 3] = [1, 4, 16];
@@ -33,15 +34,15 @@ fn bench_serve_batch(c: &mut Criterion) {
         &inputs.catalog,
         PocketSearchConfig::default(),
     );
-    let events = fleet_workload(&inputs, 64, 2_000, 77);
+    let requests = fleet_workload(&inputs, 64, 2_000, 77);
 
     let mut group = c.benchmark_group("fleet/serve_batch_2k");
     for shards in SHARD_COUNTS {
-        let router = ServeRouter::from_engine(&engine, shards);
+        let (_, frontend) = search_frontend(&engine, shards, FrontendConfig::pr3_baseline());
         group.bench_function(format!("{shards}_shards"), |b| {
             b.iter_batched(
-                || events.clone(),
-                |batch| black_box(router.serve_batch(&batch)),
+                || requests.clone(),
+                |batch| black_box(frontend.serve_batch(&batch)),
                 BatchSize::SmallInput,
             )
         });
@@ -57,8 +58,8 @@ fn bench_serve_batch(c: &mut Criterion) {
     );
     let mut baseline_qps = None;
     for shards in SHARD_COUNTS {
-        let router = ServeRouter::from_engine(&engine, shards);
-        let report = router.serve_batch(&events).expect("fleet batch");
+        let (_, frontend) = search_frontend(&engine, shards, FrontendConfig::pr3_baseline());
+        let report = frontend.serve_batch(&requests).expect("fleet batch").report;
         let qps = report.throughput_qps();
         let speedup = match baseline_qps {
             None => {
@@ -71,7 +72,7 @@ fn bench_serve_batch(c: &mut Criterion) {
             "{:>7}  {:>10}  {:>12.3}  {:>8.1} ({})  {:>9.4}",
             shards,
             report.hits(),
-            report.makespan().as_secs_f64(),
+            report.makespan.as_secs_f64(),
             qps,
             speedup,
             report.hit_rate()
@@ -91,10 +92,7 @@ fn bench_frontend_batch(c: &mut Criterion) {
         &inputs.catalog,
         PocketSearchConfig::default(),
     );
-    let requests: Vec<ServeRequest> = frontend_workload(&inputs, 64, 2_000, 79)
-        .into_iter()
-        .map(ServeRequest::from)
-        .collect();
+    let requests = frontend_workload(&inputs, 64, 2_000, 79);
 
     let configs = [
         ("baseline", FrontendConfig::pr3_baseline()),
@@ -150,13 +148,13 @@ fn bench_serve_one(c: &mut Criterion) {
         &inputs.catalog,
         PocketSearchConfig::default(),
     );
-    let events = fleet_workload(&inputs, 64, 512, 78);
-    let router = ServeRouter::from_engine(&engine, 16);
+    let requests = fleet_workload(&inputs, 64, 512, 78);
+    let (_, frontend) = search_frontend(&engine, 16, FrontendConfig::pr3_baseline());
     let mut i = 0;
     c.bench_function("fleet/serve_one", |b| {
         b.iter(|| {
-            i = (i + 1) % events.len();
-            black_box(router.serve_one(black_box(events[i])))
+            i = (i + 1) % requests.len();
+            black_box(frontend.serve_one(black_box(requests[i])))
         })
     });
 }

@@ -26,8 +26,9 @@
 //! * `offload` — §7's datacenter relief: the daily query load that never
 //!   reaches the search engine because the fleet serves it locally.
 //! * `fleet` — the sharded serving layer: the same Zipf batch replayed
-//!   through a multi-threaded `ServeRouter` at 1–16 shards, reporting
-//!   simulated makespan, throughput, and the (invariant) hit ratio.
+//!   through a search `Frontend` in its `pr3_baseline` configuration at
+//!   1–16 shards, reporting simulated makespan, throughput, and the
+//!   (invariant) hit ratio.
 //! * `frontend` — the pipelined serve front-end: a duplicate-heavy Zipf
 //!   batch swept over queue depth × coalescing × hit-path mode against
 //!   the PR 3 per-lane-mutex baseline, reporting simulated qps, p99
@@ -76,7 +77,7 @@ use cloudlet_core::contentgen::{AdmissionPolicy, CacheContents};
 use cloudlet_core::coordination::{BudgetDemand, CloudletBudgets, CloudletId};
 use cloudlet_core::corpus::UniverseCorpus;
 use cloudlet_core::frontend::{
-    Frontend, FrontendConfig, HitPathMode, LaneTotals, OverflowPolicy, RouteBy, ServeRequest,
+    Frontend, FrontendConfig, HitPathMode, LaneTotals, OverflowPolicy, RouteBy,
 };
 use cloudlet_core::hashtable::{ConflictPolicy, QueryHashTable};
 use cloudlet_core::peer::{PeerConfig, PeerFabricStats};
@@ -97,7 +98,7 @@ use pocket_bench::{
 use pocketsearch::config::PocketSearchConfig;
 use pocketsearch::engine::{PocketSearch, RecoveryStats};
 use pocketsearch::experiment::{run_hit_rate_study, select_streams, HitRateConfig};
-use pocketsearch::fleet::{search_frontend, ServeRouter};
+use pocketsearch::fleet::search_frontend;
 use pocketsearch::replay::replay_population;
 use querylog::generator::{GeneratorConfig, LogGenerator};
 use querylog::log::{LogEntry, SearchLog};
@@ -110,6 +111,26 @@ struct Options {
     seed: u64,
     out: Option<String>,
 }
+
+/// Every study, in the order `--study all` runs them.
+const STUDIES: [&str; 16] = [
+    "lambda",
+    "admission",
+    "tiers",
+    "freshness",
+    "maps",
+    "battery",
+    "suggest",
+    "radios",
+    "offload",
+    "fleet",
+    "frontend",
+    "arbiter",
+    "wear",
+    "population",
+    "peers",
+    "hotpath",
+];
 
 fn parse_args() -> Options {
     let mut studies = Vec::new();
@@ -139,27 +160,11 @@ fn parse_args() -> Options {
         }
     }
     if studies.is_empty() || studies.iter().any(|s| s == "all") {
-        studies = [
-            "lambda",
-            "admission",
-            "tiers",
-            "freshness",
-            "maps",
-            "battery",
-            "suggest",
-            "radios",
-            "offload",
-            "fleet",
-            "frontend",
-            "arbiter",
-            "wear",
-            "population",
-            "peers",
-            "hotpath",
-        ]
-        .iter()
-        .map(|s| (*s).to_owned())
-        .collect();
+        studies = STUDIES.iter().map(|s| (*s).to_owned()).collect();
+    }
+    if let Some(unknown) = studies.iter().find(|s| !STUDIES.contains(&s.as_str())) {
+        eprintln!("unknown study {unknown:?}");
+        std::process::exit(2);
     }
     Options {
         studies,
@@ -194,7 +199,7 @@ fn main() {
             "population" => population_study(&opts),
             "peers" => peers_study(&opts),
             "hotpath" => hotpath_study(&opts),
-            other => eprintln!("unknown study {other:?}"),
+            other => unreachable!("study {other:?} is validated in parse_args"),
         }
     }
 }
@@ -690,8 +695,9 @@ fn tier_study(opts: &Options) {
     println!("a search-cache-sized index reloads fast, but a fleet of richer cloudlets\n(maps, yellow pages) pushes reload into minutes — the paper's case for a PCM tier.\n");
 }
 
-/// The sharded serving layer: one Zipf batch through a multi-threaded
-/// `ServeRouter` at increasing shard counts. Hits, misses, and total
+/// The sharded serving layer: one Zipf batch through a search
+/// `Frontend` in its `pr3_baseline` configuration (every lane drains
+/// serially behind an exclusive lock) at increasing shard counts. Hits, misses, and total
 /// simulated service time are invariant in the shard count (sharding
 /// re-routes work, it never changes an outcome); the makespan — the
 /// busiest lane's simulated busy time — is what shrinks, and with it
@@ -712,7 +718,7 @@ fn fleet_study(opts: &Options) {
     } else {
         (64, 4_000)
     };
-    let events = fleet_workload(&inputs, users, n_events, opts.seed ^ 0xf1ee7);
+    let requests = fleet_workload(&inputs, users, n_events, opts.seed ^ 0xf1ee7);
 
     let mut table = Table::new(
         format!("Ablation: sharded serving fleet ({n_events} Zipf events, {users} users)"),
@@ -720,14 +726,14 @@ fn fleet_study(opts: &Options) {
     );
     let mut baseline_qps = None;
     for shards in [1, 2, 4, 8, 16] {
-        let router = ServeRouter::from_engine(&engine, shards);
-        let report = router.serve_batch(&events).expect("fleet batch");
+        let (_, frontend) = search_frontend(&engine, shards, FrontendConfig::pr3_baseline());
+        let report = frontend.serve_batch(&requests).expect("fleet batch").report;
         let qps = report.throughput_qps();
         let base = *baseline_qps.get_or_insert(qps);
         table.row(&[
             shards.to_string(),
             format!("{:.4}", report.hit_rate()),
-            format!("{:.2} s", report.makespan().as_secs_f64()),
+            format!("{:.2} s", report.makespan.as_secs_f64()),
             format!("{qps:.1}"),
             format!("{:.2}x", qps / base),
         ]);
@@ -771,8 +777,7 @@ fn frontend_study(opts: &Options) {
         (64, 4_000)
     };
     let shards = 8usize;
-    let events = frontend_workload(&inputs, users, n_events, opts.seed ^ 0xf407);
-    let requests: Vec<ServeRequest> = events.iter().map(|&e| e.into()).collect();
+    let requests = frontend_workload(&inputs, users, n_events, opts.seed ^ 0xf407);
 
     let parked =
         |queue_depth: usize, coalescing: bool, hit_path: HitPathMode, work_stealing: bool| {

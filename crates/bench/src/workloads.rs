@@ -11,7 +11,6 @@ use cloudlet_core::population::PairTable;
 use cloudlet_core::ranking::RankingPolicy;
 use mobsim::time::SimInstant;
 use pocketsearch::engine::Catalog;
-use pocketsearch::fleet::FleetEvent;
 use querylog::generator::{GeneratorConfig, LogGenerator};
 use querylog::ids::UserId;
 use querylog::log::{LogEntry, SearchLog};
@@ -72,6 +71,11 @@ pub fn test_scale_study_inputs(seed: u64) -> StudyInputs {
     study_inputs(GeneratorConfig::test_scale(), seed, 0.55)
 }
 
+/// A search request (service group 0) at the simulation epoch.
+fn search_request(user: u64, query_hash: u64) -> ServeRequest {
+    ServeRequest::new(user, 0, query_hash, SimInstant::ZERO)
+}
+
 /// A Zipf-distributed `(user, query)` serving stream for the fleet
 /// studies: queries are ranked by their build-month volume and drawn
 /// from a two-segment Zipf over that rank, so the hot head mostly hits
@@ -82,7 +86,7 @@ pub fn fleet_workload(
     users: u64,
     n_events: usize,
     seed: u64,
-) -> Vec<FleetEvent> {
+) -> Vec<ServeRequest> {
     assert!(users > 0, "the fleet needs at least one user");
     // Distinct queries in descending-volume order.
     let mut seen = HashSet::new();
@@ -102,7 +106,7 @@ pub fn fleet_workload(
     let index = WeightedIndex::new(profile.weights(ranked.len()));
     let mut rng = StdRng::seed_from_u64(seed);
     (0..n_events)
-        .map(|_| FleetEvent::search(rng.random_range(0..users), ranked[index.sample(&mut rng)]))
+        .map(|_| search_request(rng.random_range(0..users), ranked[index.sample(&mut rng)]))
         .collect()
 }
 
@@ -119,7 +123,7 @@ pub fn frontend_workload(
     users: u64,
     n_events: usize,
     seed: u64,
-) -> Vec<FleetEvent> {
+) -> Vec<ServeRequest> {
     assert!(users > 0, "the front-end needs at least one user");
     let mut seen = HashSet::new();
     let ranked: Vec<u64> = inputs
@@ -138,7 +142,7 @@ pub fn frontend_workload(
     let index = WeightedIndex::new(profile.weights(ranked.len()));
     let mut rng = StdRng::seed_from_u64(seed);
     (0..n_events)
-        .map(|_| FleetEvent::search(rng.random_range(0..users), ranked[index.sample(&mut rng)]))
+        .map(|_| search_request(rng.random_range(0..users), ranked[index.sample(&mut rng)]))
         .collect()
 }
 

@@ -1,0 +1,16 @@
+//! The `ablations` binary's command line: a study name it does not know
+//! is a usage error, reported before any study runs.
+
+use std::process::Command;
+
+#[test]
+fn unknown_study_exits_with_a_usage_error() {
+    let output = Command::new(env!("CARGO_BIN_EXE_ablations"))
+        .args(["--study", "nosuch", "--scale", "test"])
+        .output()
+        .expect("the ablations binary runs");
+    assert_eq!(output.status.code(), Some(2), "{output:?}");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("unknown study \"nosuch\""), "{stderr}");
+    assert!(output.stdout.is_empty(), "no study ran");
+}

@@ -106,8 +106,7 @@ pub struct DemandContext {
     /// cloudlet that has no better signal passes it through unchanged.
     pub priority: f64,
     /// This lane's front-end telemetry for the epoch (zeroed when the
-    /// caller has no front-end, e.g. a static `ServeRouter`
-    /// allocation).
+    /// caller has no front-end, e.g. a static one-shot allocation).
     pub totals: LaneTotals,
     /// This lane's serve-path statistics for the epoch.
     pub stats: ServeStats,
@@ -115,8 +114,8 @@ pub struct DemandContext {
 
 impl DemandContext {
     /// The static, telemetry-free context: priority 1.0 for everyone.
-    /// `ServeRouter::budget_allocation` uses this, which is what keeps
-    /// the PR 3 equal-priority allocation reachable unchanged.
+    /// One-shot allocations outside any arbiter use this, which is what
+    /// keeps the equal-priority allocation reachable unchanged.
     pub fn equal_priority(epoch: u64) -> Self {
         DemandContext {
             epoch,
@@ -348,7 +347,7 @@ impl Signal {
     fn measure(obs: &EpochObservation) -> Self {
         // Prefer the front-end view (it counts fast-path hits the
         // serve-path stats cannot see); fall back to projecting the
-        // serve-path stats for arbiters fed by a plain router.
+        // serve-path stats for arbiters fed without a front-end.
         let t = if obs.totals.events > 0 {
             obs.totals
         } else {

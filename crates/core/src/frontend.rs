@@ -1,11 +1,14 @@
 //! The pipelined serving front-end: bounded queues, duplicate-key
 //! coalescing, and a read-optimized hit path.
 //!
-//! The fleet router (`pocketsearch::fleet::ServeRouter`) drains each
-//! lane serially behind a `Mutex`, so even pure cache hits — ~66% of
-//! traffic per the paper's §4 — pay an exclusive lock, and a burst of
-//! identical queries pays the full serve cost N times. [`Frontend`]
-//! keeps the same lanes-grouped-by-service shape but adds the three
+//! This is the workspace's one serving loop: every fleet — search
+//! shards (`pocketsearch::fleet::search_frontend`), heterogeneous
+//! search/web/maps groups, population lanes — is a [`Frontend`] over
+//! `dyn CloudletService` lanes grouped by service. A plain per-lane
+//! serial drain ([`FrontendConfig::pr3_baseline`]) makes even pure
+//! cache hits — ~66% of traffic per the paper's §4 — pay an exclusive
+//! lock, and a burst of identical queries pay the full serve cost N
+//! times. On top of that drain the front-end adds the
 //! mechanisms an edge front-end under bursty, time-varying load needs:
 //!
 //! * **Bounded admission with backpressure.** Each lane owns a bounded
@@ -48,10 +51,9 @@
 //! Every completion instant, queue wait, and the batch makespan are
 //! pure functions of the request stream and the configuration, so
 //! reports are bit-reproducible across machines. With
-//! [`FrontendConfig::pr3_baseline`] the model collapses to exactly the
-//! router's semantics — per-lane serial drain, makespan = busiest
-//! lane's summed service time — which is what the ablation study uses
-//! as its baseline.
+//! [`FrontendConfig::pr3_baseline`] the model collapses to a per-lane
+//! serial drain — makespan = busiest lane's summed service time — which
+//! is what the ablation studies use as their baseline.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -71,9 +73,6 @@ use crate::service::{
 
 /// One request to the front-end: a user asking one service for one key
 /// at a simulated instant.
-///
-/// Mirrors `pocketsearch::fleet::FleetEvent` (which converts into it)
-/// without making this crate depend on the fleet layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeRequest {
     /// The requesting user. Passed through to the cloudlet's
@@ -117,7 +116,7 @@ impl ServeRequest {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HitPathMode {
     /// Every request takes the lane's write lock and serial queue — the
-    /// PR 3 router's per-lane-mutex behaviour.
+    /// per-lane serial drain of [`FrontendConfig::pr3_baseline`].
     Exclusive,
     /// Requests first try [`CloudletService::try_serve_hit`] under a
     /// shared read lock; hits run on the read-worker pool and never
@@ -208,12 +207,12 @@ impl FrontendConfig {
         FrontendConfigBuilder { config: self }
     }
 
-    /// The PR 3 router reproduced inside the front-end: exclusive locks
-    /// for everything, no coalescing, no stealing, and a queue deep
-    /// enough that nothing is ever shed or parked. Under this config a
-    /// batch's makespan equals the busiest lane's summed simulated
-    /// service time — exactly `ServeRouter::serve_batch`'s model — so
-    /// it is the baseline every ablation compares against.
+    /// The plain per-lane serial drain: exclusive locks for everything,
+    /// no coalescing, no stealing, and a queue deep enough that nothing
+    /// is ever shed or parked. Under this config a batch's makespan
+    /// equals the busiest lane's summed simulated service time, so it
+    /// is the baseline every ablation compares against (and the fleet
+    /// study's only configuration).
     pub fn pr3_baseline() -> Self {
         FrontendConfig {
             queue_depth: usize::MAX,
@@ -324,78 +323,23 @@ impl FrontendConfigBuilder {
     }
 }
 
-/// Monotonic per-lane counters, updated lock-free through the shared
-/// [`CounterSet`] bank (which owns the memory-ordering argument).
+/// Monotonic per-lane counters: the [`LaneTotals`] fields, in
+/// `LaneTotals::to_array` order, in a lock-free [`CounterSet`] bank
+/// (which owns the memory-ordering argument).
 #[derive(Debug, Default)]
 struct FrontCounters(CounterSet<13>);
 
 impl FrontCounters {
-    const EVENTS: usize = 0;
-    const HITS: usize = 1;
-    const STALE_HITS: usize = 2;
-    const MISSES: usize = 3;
-    const SKIPPED: usize = 4;
-    const ERRORS: usize = 5;
-    const REJECTED: usize = 6;
-    const COALESCED: usize = 7;
-    const STOLEN: usize = 8;
-    const RADIO_BYTES: usize = 9;
-    const BUSY_MICROS: usize = 10;
-    const PEER_HITS: usize = 11;
-    const PEER_BYTES: usize = 12;
-
-    fn record_outcome(&self, outcome: &ServeOutcome, coalesced: bool, stolen: bool) {
-        self.0.bump(Self::EVENTS, 1);
-        let bucket = match outcome.kind {
-            ServeKind::Hit => Self::HITS,
-            ServeKind::StaleHit => Self::STALE_HITS,
-            ServeKind::Miss => Self::MISSES,
-            ServeKind::Skipped => Self::SKIPPED,
-        };
-        self.0.bump(bucket, 1);
-        // Followers count with their leader's outcome (like hits), but
-        // the peer link only carried the leader's bytes.
-        if outcome.source == ServeSource::Peer {
-            self.0.bump(Self::PEER_HITS, 1);
-        }
-        if coalesced {
-            self.0.bump(Self::COALESCED, 1);
-        } else {
-            // Followers ride the leader's serve: no radio, no busy time.
-            self.0.bump(Self::RADIO_BYTES, outcome.radio_bytes);
-            self.0.bump(Self::PEER_BYTES, outcome.peer_bytes);
-            self.0.bump(Self::BUSY_MICROS, outcome.service.as_micros());
-        }
-        if stolen {
-            self.0.bump(Self::STOLEN, 1);
-        }
-    }
-
-    fn record_error(&self, rejected: bool) {
-        self.0.bump(Self::EVENTS, 1);
-        if rejected {
-            self.0.bump(Self::REJECTED, 1);
-        } else {
-            self.0.bump(Self::ERRORS, 1);
+    fn add(&self, totals: &LaneTotals) {
+        for (slot, amount) in totals.to_array().into_iter().enumerate() {
+            if amount > 0 {
+                self.0.bump(slot, amount);
+            }
         }
     }
 
     fn snapshot(&self) -> LaneTotals {
-        LaneTotals {
-            events: self.0.peek(Self::EVENTS),
-            hits: self.0.peek(Self::HITS),
-            stale_hits: self.0.peek(Self::STALE_HITS),
-            misses: self.0.peek(Self::MISSES),
-            skipped: self.0.peek(Self::SKIPPED),
-            errors: self.0.peek(Self::ERRORS),
-            rejected: self.0.peek(Self::REJECTED),
-            coalesced: self.0.peek(Self::COALESCED),
-            stolen: self.0.peek(Self::STOLEN),
-            radio_bytes: self.0.peek(Self::RADIO_BYTES),
-            peer_hits: self.0.peek(Self::PEER_HITS),
-            peer_bytes: self.0.peek(Self::PEER_BYTES),
-            busy: SimDuration::from_micros(self.0.peek(Self::BUSY_MICROS)),
-        }
+        LaneTotals::from_array(self.0.snapshot())
     }
 }
 
@@ -434,8 +378,7 @@ pub struct LaneTotals {
 }
 
 impl LaneTotals {
-    /// Sums a set of lane totals into one aggregate. (The old free
-    /// function [`aggregate`] forwards here and is deprecated.)
+    /// Sums a set of lane totals into one aggregate.
     pub fn aggregate(lanes: &[LaneTotals]) -> LaneTotals {
         let mut total = LaneTotals::default();
         for lane in lanes {
@@ -450,37 +393,89 @@ impl LaneTotals {
     /// per-epoch observations.
     #[must_use]
     pub fn delta_since(&self, earlier: &LaneTotals) -> LaneTotals {
-        LaneTotals {
-            events: self.events.saturating_sub(earlier.events),
-            hits: self.hits.saturating_sub(earlier.hits),
-            stale_hits: self.stale_hits.saturating_sub(earlier.stale_hits),
-            misses: self.misses.saturating_sub(earlier.misses),
-            skipped: self.skipped.saturating_sub(earlier.skipped),
-            errors: self.errors.saturating_sub(earlier.errors),
-            rejected: self.rejected.saturating_sub(earlier.rejected),
-            coalesced: self.coalesced.saturating_sub(earlier.coalesced),
-            stolen: self.stolen.saturating_sub(earlier.stolen),
-            radio_bytes: self.radio_bytes.saturating_sub(earlier.radio_bytes),
-            peer_hits: self.peer_hits.saturating_sub(earlier.peer_hits),
-            peer_bytes: self.peer_bytes.saturating_sub(earlier.peer_bytes),
-            busy: self.busy.saturating_sub(earlier.busy),
-        }
+        let (now, then) = (self.to_array(), earlier.to_array());
+        LaneTotals::from_array(std::array::from_fn(|i| now[i].saturating_sub(then[i])))
     }
 
     fn merge(&mut self, other: &LaneTotals) {
-        self.events += other.events;
-        self.hits += other.hits;
-        self.stale_hits += other.stale_hits;
-        self.misses += other.misses;
-        self.skipped += other.skipped;
-        self.errors += other.errors;
-        self.rejected += other.rejected;
-        self.coalesced += other.coalesced;
-        self.stolen += other.stolen;
-        self.radio_bytes += other.radio_bytes;
-        self.peer_hits += other.peer_hits;
-        self.peer_bytes += other.peer_bytes;
-        self.busy += other.busy;
+        let (a, b) = (self.to_array(), other.to_array());
+        *self = LaneTotals::from_array(std::array::from_fn(|i| a[i] + b[i]));
+    }
+
+    /// One request's contribution to its lane: one event, with the
+    /// outcome in its bucket. Followers (`coalesced`) count with their
+    /// leader's outcome but charge no radio, peer-link or busy time —
+    /// they rode the leader's serve. An error is `rejected` when the
+    /// front-end shed the request and `errors` otherwise.
+    fn of_request(
+        result: &Result<ServeOutcome, CloudletError>,
+        coalesced: bool,
+        stolen: bool,
+    ) -> LaneTotals {
+        let mut totals = LaneTotals {
+            events: 1,
+            ..LaneTotals::default()
+        };
+        match result {
+            Ok(outcome) => {
+                *match outcome.kind {
+                    ServeKind::Hit => &mut totals.hits,
+                    ServeKind::StaleHit => &mut totals.stale_hits,
+                    ServeKind::Miss => &mut totals.misses,
+                    ServeKind::Skipped => &mut totals.skipped,
+                } = 1;
+                totals.peer_hits = u64::from(outcome.source == ServeSource::Peer);
+                totals.stolen = u64::from(stolen);
+                if coalesced {
+                    totals.coalesced = 1;
+                } else {
+                    totals.radio_bytes = outcome.radio_bytes;
+                    totals.peer_bytes = outcome.peer_bytes;
+                    totals.busy = outcome.service;
+                }
+            }
+            Err(CloudletError::QueueFull { .. }) => totals.rejected = 1,
+            Err(_) => totals.errors = 1,
+        }
+        totals
+    }
+
+    fn to_array(self) -> [u64; 13] {
+        [
+            self.events,
+            self.hits,
+            self.stale_hits,
+            self.misses,
+            self.skipped,
+            self.errors,
+            self.rejected,
+            self.coalesced,
+            self.stolen,
+            self.radio_bytes,
+            self.peer_hits,
+            self.peer_bytes,
+            self.busy.as_micros(),
+        ]
+    }
+
+    fn from_array(fields: [u64; 13]) -> LaneTotals {
+        let [events, hits, stale_hits, misses, skipped, errors, rejected, coalesced, stolen, radio_bytes, peer_hits, peer_bytes, busy] =
+            fields;
+        LaneTotals {
+            events,
+            hits,
+            stale_hits,
+            misses,
+            skipped,
+            errors,
+            rejected,
+            coalesced,
+            stolen,
+            radio_bytes,
+            peer_hits,
+            peer_bytes,
+            busy: SimDuration::from_micros(busy),
+        }
     }
 }
 
@@ -670,8 +665,7 @@ pub struct LaneTelemetry {
     pub cache_bytes: u64,
 }
 
-/// The front-end's whole telemetry surface in one snapshot, replacing
-/// the split `snapshot()` / `lane_stats()` accessors.
+/// The front-end's whole telemetry surface in one snapshot.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FrontendTelemetry {
     /// Per-lane telemetry, indexed by global lane index.
@@ -690,13 +684,12 @@ impl FrontendTelemetry {
         self.lanes.iter().map(|l| l.totals.rejected).sum()
     }
 
-    /// Just the per-lane front-end totals (the old `snapshot()` shape).
+    /// Just the per-lane front-end totals.
     pub fn lane_totals(&self) -> Vec<LaneTotals> {
         self.lanes.iter().map(|l| l.totals).collect()
     }
 
-    /// Just the per-lane serve-path stats (the old `lane_stats()`
-    /// shape).
+    /// Just the per-lane serve-path stats.
     pub fn lane_stats(&self) -> Vec<ServeStats> {
         self.lanes.iter().map(|l| l.stats).collect()
     }
@@ -822,7 +815,7 @@ impl Frontend {
     /// smaller), registering every lane's
     /// [`CloudletService::summary_keys`] inventory under its global
     /// lane index as the device id. From then on a local miss consults
-    /// the cell before the radio (see [`Frontend::execute`]'s miss
+    /// the cell before the radio (see `Frontend::execute`'s miss
     /// path); re-wiring a group replaces its previous cells.
     ///
     /// `cell_size == 1` degenerates to solo cells: the only member of
@@ -899,8 +892,7 @@ impl Frontend {
 
     /// One unified snapshot of everything the front-end measures:
     /// per-lane front-end totals *and* serve-path stats, with aggregate
-    /// and shed-count accessors on the result. Supersedes the split
-    /// [`Frontend::snapshot`] / [`Frontend::lane_stats`] pair.
+    /// and shed-count accessors on the result.
     pub fn telemetry(&self) -> FrontendTelemetry {
         FrontendTelemetry {
             lanes: self
@@ -921,23 +913,6 @@ impl Frontend {
         }
     }
 
-    /// Cumulative per-lane front-end totals since construction.
-    #[deprecated(since = "0.1.0", note = "use `telemetry().lane_totals()` instead")]
-    pub fn snapshot(&self) -> Vec<LaneTotals> {
-        self.telemetry().lane_totals()
-    }
-
-    /// Per-lane serve-path statistics straight from each cloudlet.
-    ///
-    /// Fast-path hits are *not* in here — `try_serve_hit` cannot touch
-    /// the cloudlet's own counters — so under
-    /// [`HitPathMode::SharedRead`] these reflect only exclusive serves;
-    /// the front-end totals are the authoritative view.
-    #[deprecated(since = "0.1.0", note = "use `telemetry().lane_stats()` instead")]
-    pub fn lane_stats(&self) -> Vec<ServeStats> {
-        self.telemetry().lane_stats()
-    }
-
     /// Runs one adaptive arbitration epoch if `now` has crossed the
     /// arbiter's next epoch boundary; returns `None` between epochs.
     ///
@@ -948,8 +923,7 @@ impl Frontend {
     /// into per-epoch deltas, and every lane's
     /// [`CloudletService::budget_demand`] is consulted under its read
     /// lock with a [`crate::arbiter::DemandContext`] carrying that
-    /// lane's telemetry. Lane `i` is identified as `CloudletId(i)`,
-    /// the same mapping `ServeRouter::budget_allocation` uses.
+    /// lane's telemetry. Lane `i` is identified as `CloudletId(i)`.
     pub fn arbitrate(
         &self,
         arbiter: &mut AdaptiveArbiter,
@@ -994,8 +968,10 @@ impl Frontend {
     }
 
     /// Serves the request on `lane`, trying the shared-read fast path
-    /// first when configured. Returns the outcome and whether the fast
-    /// path answered.
+    /// first when `try_fast` is set and the configuration allows it.
+    /// Returns the outcome and whether the fast path answered. Callers
+    /// that already tried the fast path on this lane pass `false`, so
+    /// every request consults `try_serve_hit` at most once per lane.
     ///
     /// When the lane belongs to a peer cell, a local radio miss first
     /// consults the cell *after* the lane guard is dropped: a peer hit
@@ -1005,9 +981,10 @@ impl Frontend {
         &self,
         lane: usize,
         request: &ServeRequest,
+        try_fast: bool,
     ) -> (Result<ServeOutcome, CloudletError>, bool) {
         let service_request = request.service_request();
-        if self.config.hit_path == HitPathMode::SharedRead {
+        if try_fast && self.config.hit_path == HitPathMode::SharedRead {
             let fast = {
                 let service = self.lanes[lane].service.read();
                 service.try_serve_hit(&service_request)
@@ -1071,13 +1048,10 @@ impl Frontend {
     /// also tallied in the lane's `errors` counter.
     pub fn serve_one(&self, request: ServeRequest) -> Result<FrontServed, CloudletError> {
         let lane = self.lane_of(&request)?;
-        let (result, fast_path) = self.execute(lane, &request);
-        match &result {
-            Ok(outcome) => self.lanes[lane]
-                .counters
-                .record_outcome(outcome, false, false),
-            Err(_) => self.lanes[lane].counters.record_error(false),
-        }
+        let (result, fast_path) = self.execute(lane, &request, true);
+        self.lanes[lane]
+            .counters
+            .add(&LaneTotals::of_request(&result, false, false));
         result.map(|outcome| FrontServed {
             outcome: Ok(outcome),
             lane,
@@ -1085,15 +1059,9 @@ impl Frontend {
             stolen: false,
             fast_path,
             queue_wait: SimDuration::ZERO,
-            completed_at: request.at + self.execute_completion_delay(),
+            // No queue model: completion is arrival.
+            completed_at: request.at,
         })
-    }
-
-    /// `serve_one` has no queue, so completion trails arrival by
-    /// nothing in the model; kept as a hook so the signature reads the
-    /// same as the batch path.
-    fn execute_completion_delay(&self) -> SimDuration {
-        SimDuration::ZERO
     }
 
     /// Drives a whole batch through the pipelined model: admission,
@@ -1134,176 +1102,129 @@ impl Frontend {
                 in_flight.clear();
             }
             let t = request.at;
+            let unqueued = |lane, outcome| FrontServed {
+                outcome,
+                lane,
+                coalesced: false,
+                stolen: false,
+                fast_path: false,
+                queue_wait: SimDuration::ZERO,
+                completed_at: t,
+            };
 
-            // Follower: ride an already-served leader in this window.
-            if self.config.coalescing {
+            let disposition = 'serve: {
+                // Follower: ride an already-served leader in this window.
                 if let Some(entry) = in_flight.get(&(request.service, request.key)) {
                     let completed_at = entry.completion.max(t);
-                    let wait = completed_at.saturating_duration_since(t);
-                    self.lanes[entry.lane]
-                        .counters
-                        .record_outcome(&entry.outcome, true, false);
-                    record_lane(
-                        &mut batch_lanes[entry.lane],
-                        &Ok(entry.outcome),
-                        true,
-                        false,
-                    );
-                    waits.push(wait.as_micros());
-                    last_completion = last_completion.max(completed_at);
-                    served.push(FrontServed {
-                        outcome: Ok(entry.outcome),
-                        lane: entry.lane,
+                    break 'serve FrontServed {
                         coalesced: true,
-                        stolen: false,
-                        fast_path: false,
-                        queue_wait: wait,
+                        queue_wait: completed_at.saturating_duration_since(t),
                         completed_at,
-                    });
-                    continue;
-                }
-            }
-
-            // Fast path: a read-only hit runs on the read pool and
-            // never touches the bounded exclusive queue.
-            if self.config.hit_path == HitPathMode::SharedRead {
-                let fast = {
-                    let service = self.lanes[home].service.read();
-                    service.try_serve_hit(&request.service_request())
-                };
-                if let Some(outcome) = fast {
-                    let worker = read_pool
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|&(_, &free)| free)
-                        .map(|(w, _)| w)
-                        .unwrap_or(0);
-                    let start = read_pool[worker].max(t);
-                    let completed_at = start + outcome.service;
-                    read_pool[worker] = completed_at;
-                    let wait = start.saturating_duration_since(t);
-                    self.lanes[home]
-                        .counters
-                        .record_outcome(&outcome, false, false);
-                    record_lane(&mut batch_lanes[home], &Ok(outcome), false, false);
-                    if self.config.coalescing {
-                        in_flight.insert(
-                            (request.service, request.key),
-                            CoalesceEntry {
-                                lane: home,
-                                outcome,
-                                completion: completed_at,
-                            },
-                        );
-                    }
-                    waits.push(wait.as_micros());
-                    last_completion = last_completion.max(completed_at);
-                    served.push(FrontServed {
-                        outcome: Ok(outcome),
-                        lane: home,
-                        coalesced: false,
-                        stolen: false,
-                        fast_path: true,
-                        queue_wait: wait,
-                        completed_at,
-                    });
-                    continue;
-                }
-            }
-
-            // Exclusive path: admission against the bounded queue, with
-            // optional stealing to an idler sibling.
-            let mut target = home;
-            let mut stolen = false;
-            if sims[home].occupancy_at(t) >= self.config.queue_depth {
-                if self.config.work_stealing {
-                    let group = &self.groups[request.service as usize];
-                    let victim = group
-                        .iter()
-                        .copied()
-                        .filter(|&l| l != home)
-                        .map(|l| (sims[l].occupancy_at(t), l))
-                        .min()
-                        .filter(|&(occ, _)| occ < self.config.queue_depth);
-                    if let Some((_, sibling)) = victim {
-                        target = sibling;
-                        stolen = true;
-                    }
-                }
-                if !stolen && self.config.overflow == OverflowPolicy::Reject {
-                    let err = CloudletError::QueueFull {
-                        lane: home,
-                        depth: self.config.queue_depth,
+                        ..unqueued(entry.lane, Ok(entry.outcome))
                     };
-                    self.lanes[home].counters.record_error(true);
-                    batch_lanes[home].events += 1;
-                    batch_lanes[home].rejected += 1;
-                    served.push(FrontServed {
-                        outcome: Err(err),
-                        lane: home,
-                        coalesced: false,
-                        stolen: false,
-                        fast_path: false,
-                        queue_wait: SimDuration::ZERO,
-                        completed_at: t,
-                    });
-                    continue;
                 }
-                // OverflowPolicy::Park: the request waits for a slot.
-                // With one exclusive server per lane the FIFO start time
-                // is `busy_until` either way; parking only changes
-                // whether the request was shed.
-            }
 
-            let (result, fast_path) = self.execute(target, request);
-            match result {
-                Ok(outcome) => {
-                    let start = sims[target].busy_until.max(t);
-                    let completed_at = start + outcome.service;
-                    sims[target].busy_until = completed_at;
-                    sims[target].queue.push_back(completed_at);
-                    let wait = start.saturating_duration_since(t);
-                    self.lanes[target]
-                        .counters
-                        .record_outcome(&outcome, false, stolen);
-                    record_lane(&mut batch_lanes[target], &Ok(outcome), false, stolen);
-                    if self.config.coalescing {
-                        in_flight.insert(
-                            (request.service, request.key),
-                            CoalesceEntry {
-                                lane: target,
-                                outcome,
-                                completion: completed_at,
-                            },
-                        );
+                // Fast path: a read-only hit runs on the read pool and
+                // never touches the bounded exclusive queue.
+                if self.config.hit_path == HitPathMode::SharedRead {
+                    let fast = {
+                        let service = self.lanes[home].service.read();
+                        service.try_serve_hit(&request.service_request())
+                    };
+                    if let Some(outcome) = fast {
+                        let worker = read_pool
+                            .iter()
+                            .enumerate()
+                            .min_by_key(|&(_, &free)| free)
+                            .map(|(w, _)| w)
+                            .unwrap_or(0);
+                        let start = read_pool[worker].max(t);
+                        read_pool[worker] = start + outcome.service;
+                        break 'serve FrontServed {
+                            fast_path: true,
+                            queue_wait: start.saturating_duration_since(t),
+                            completed_at: start + outcome.service,
+                            ..unqueued(home, Ok(outcome))
+                        };
                     }
-                    waits.push(wait.as_micros());
-                    last_completion = last_completion.max(completed_at);
-                    served.push(FrontServed {
-                        outcome: Ok(outcome),
-                        lane: target,
-                        coalesced: false,
-                        stolen,
-                        fast_path,
-                        queue_wait: wait,
-                        completed_at,
-                    });
                 }
-                Err(err) => {
-                    self.lanes[target].counters.record_error(false);
-                    batch_lanes[target].events += 1;
-                    batch_lanes[target].errors += 1;
-                    served.push(FrontServed {
-                        outcome: Err(err),
-                        lane: target,
-                        coalesced: false,
+
+                // Exclusive path: admission against the bounded queue,
+                // with optional stealing to an idler sibling.
+                let mut target = home;
+                let mut stolen = false;
+                if sims[home].occupancy_at(t) >= self.config.queue_depth {
+                    if self.config.work_stealing {
+                        let group = &self.groups[request.service as usize];
+                        let victim = group
+                            .iter()
+                            .copied()
+                            .filter(|&l| l != home)
+                            .map(|l| (sims[l].occupancy_at(t), l))
+                            .min()
+                            .filter(|&(occ, _)| occ < self.config.queue_depth);
+                        if let Some((_, sibling)) = victim {
+                            target = sibling;
+                            stolen = true;
+                        }
+                    }
+                    if !stolen && self.config.overflow == OverflowPolicy::Reject {
+                        let err = CloudletError::QueueFull {
+                            lane: home,
+                            depth: self.config.queue_depth,
+                        };
+                        break 'serve unqueued(home, Err(err));
+                    }
+                    // OverflowPolicy::Park: the request waits for a slot.
+                    // With one exclusive server per lane the FIFO start
+                    // time is `busy_until` either way; parking only
+                    // changes whether the request was shed.
+                }
+
+                // The fast path already declined on `home`; a stolen
+                // request still gets one try on its sibling.
+                let (result, fast_path) = self.execute(target, request, stolen);
+                let Ok(outcome) = result else {
+                    break 'serve FrontServed {
                         stolen,
-                        fast_path: false,
-                        queue_wait: SimDuration::ZERO,
-                        completed_at: t,
-                    });
+                        ..unqueued(target, result)
+                    };
+                };
+                let sim = &mut sims[target];
+                let start = sim.busy_until.max(t);
+                sim.busy_until = start + outcome.service;
+                sim.queue.push_back(sim.busy_until);
+                FrontServed {
+                    stolen,
+                    fast_path,
+                    queue_wait: start.saturating_duration_since(t),
+                    completed_at: sim.busy_until,
+                    ..unqueued(target, Ok(outcome))
+                }
+            };
+
+            let totals = LaneTotals::of_request(
+                &disposition.outcome,
+                disposition.coalesced,
+                disposition.stolen,
+            );
+            self.lanes[disposition.lane].counters.add(&totals);
+            batch_lanes[disposition.lane].merge(&totals);
+            if let Ok(outcome) = disposition.outcome {
+                waits.push(disposition.queue_wait.as_micros());
+                last_completion = last_completion.max(disposition.completed_at);
+                if self.config.coalescing && !disposition.coalesced {
+                    in_flight.insert(
+                        (request.service, request.key),
+                        CoalesceEntry {
+                            lane: disposition.lane,
+                            outcome,
+                            completion: disposition.completed_at,
+                        },
+                    );
                 }
             }
+            served.push(disposition);
         }
 
         let first_arrival = requests
@@ -1324,40 +1245,6 @@ impl Frontend {
     }
 }
 
-/// Folds one request's disposition into a batch-local lane total.
-fn record_lane(
-    lane: &mut LaneTotals,
-    result: &Result<ServeOutcome, CloudletError>,
-    coalesced: bool,
-    stolen: bool,
-) {
-    lane.events += 1;
-    match result {
-        Ok(outcome) => {
-            match outcome.kind {
-                ServeKind::Hit => lane.hits += 1,
-                ServeKind::StaleHit => lane.stale_hits += 1,
-                ServeKind::Miss => lane.misses += 1,
-                ServeKind::Skipped => lane.skipped += 1,
-            }
-            if outcome.source == ServeSource::Peer {
-                lane.peer_hits += 1;
-            }
-            if coalesced {
-                lane.coalesced += 1;
-            } else {
-                lane.radio_bytes += outcome.radio_bytes;
-                lane.peer_bytes += outcome.peer_bytes;
-                lane.busy += outcome.service;
-            }
-            if stolen {
-                lane.stolen += 1;
-            }
-        }
-        Err(_) => lane.errors += 1,
-    }
-}
-
 /// Nearest-rank percentile of a sorted micros slice.
 fn percentile(sorted: &[u64], q: f64) -> SimDuration {
     if sorted.is_empty() {
@@ -1367,17 +1254,10 @@ fn percentile(sorted: &[u64], q: f64) -> SimDuration {
     SimDuration::from_micros(sorted[rank - 1])
 }
 
-/// Aggregates a report's lanes into one [`LaneTotals`].
-///
-/// Thin forwarder kept for one release; the method is the supported
-/// surface.
-#[deprecated(since = "0.1.0", note = "use `LaneTotals::aggregate` instead")]
-pub fn aggregate(lanes: &[LaneTotals]) -> LaneTotals {
-    LaneTotals::aggregate(lanes)
-}
-
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicU64, Ordering};
+
     use super::*;
 
     /// A toy replica service: keys below `cached_below` hit (100 ms),
@@ -1651,6 +1531,64 @@ mod tests {
         assert_eq!((totals.events, totals.hits, totals.misses), (2, 1, 1));
     }
 
+    /// A [`ToyLane`] that counts its fast-path consultations.
+    struct CountingLane {
+        inner: ToyLane,
+        attempts: Arc<AtomicU64>,
+    }
+
+    impl CloudletService for CountingLane {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+
+        fn serve(&mut self, request: &ServiceRequest) -> Result<ServeOutcome, CloudletError> {
+            self.inner.serve(request)
+        }
+
+        fn try_serve_hit(&self, request: &ServiceRequest) -> Option<ServeOutcome> {
+            self.attempts.fetch_add(1, Ordering::Relaxed);
+            self.inner.try_serve_hit(request)
+        }
+
+        fn service_stats(&self) -> ServeStats {
+            self.inner.service_stats()
+        }
+
+        fn cache_bytes(&self) -> u64 {
+            self.inner.cache_bytes()
+        }
+    }
+
+    #[test]
+    fn each_request_tries_the_fast_path_once() {
+        let attempts = Arc::new(AtomicU64::new(0));
+        let lanes = (0..2)
+            .map(|_| {
+                Box::new(CountingLane {
+                    inner: ToyLane {
+                        cached_below: 100,
+                        stats: ServeStats::default(),
+                    },
+                    attempts: Arc::clone(&attempts),
+                }) as Box<dyn CloudletService + Send + Sync>
+            })
+            .collect();
+        let fe = Frontend::new(vec![lanes], FrontendConfig::default());
+        let count = || attempts.load(Ordering::Relaxed);
+        // Distinct keys, so nothing coalesces: hits and misses alike
+        // consult `try_serve_hit` exactly once.
+        let batch = fe
+            .serve_batch(&zero_batch(&[0, 1, 200, 201, 2, 300]))
+            .expect("toy batch");
+        assert_eq!(batch.report.coalesced(), 0);
+        assert_eq!((batch.report.hits(), batch.report.misses()), (3, 3));
+        assert_eq!(count(), 6, "one fast-path try per batched request");
+        fe.serve_one(ServeRequest::new(0, 0, 400, SimInstant::ZERO))
+            .expect("toy serve");
+        assert_eq!(count(), 7, "serve_one tries the fast path once");
+    }
+
     #[test]
     fn percentiles_are_nearest_rank() {
         let waits: Vec<u64> = (1..=100).collect();
@@ -1702,15 +1640,12 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_accessors_forward_to_telemetry() {
+    fn telemetry_aggregates_every_lane() {
         let fe = frontend(2, FrontendConfig::default());
         fe.serve_batch(&zero_batch(&[0, 1, 200])).expect("batch");
         let telemetry = fe.telemetry();
-        assert_eq!(fe.snapshot(), telemetry.lane_totals());
-        assert_eq!(fe.lane_stats(), telemetry.lane_stats());
         assert_eq!(
-            aggregate(&telemetry.lane_totals()),
+            telemetry.aggregate(),
             LaneTotals::aggregate(&telemetry.lane_totals())
         );
         assert_eq!(telemetry.aggregate().events, 3);

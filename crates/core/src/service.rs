@@ -16,9 +16,11 @@
 //!   inspect heterogeneous cloudlets uniformly.
 //! * [`ServeRequest`] — the one request shape both serve paths take:
 //!   `{ user: Option<u64>, key, now }`. It replaced the four-method
-//!   `serve`/`serve_user`/`try_serve_hit`/`try_serve_hit_user` spread;
-//!   the `_user` forms survive one PR as `#[deprecated]` forwarding
-//!   shims.
+//!   `serve`/`serve_user`/`try_serve_hit`/`try_serve_hit_user` spread.
+//!   The `_user` forms stay as `#[deprecated]` forwarding shims because
+//!   out-of-workspace implementors (the host-time benchmark's traced
+//!   lane) still override them, and removing a trait method breaks
+//!   such an impl.
 //! * [`ServeOutcome`] / [`ServeKind`] / [`ServeSource`] / [`ServeFlags`]
 //!   — the outcome taxonomy that subsumes the per-crate vocabularies:
 //!   *what* happened (`{Hit, StaleHit, Miss, Skipped}`), *who* answered
@@ -32,14 +34,15 @@
 //! * [`CloudletError`] — the workspace-level error type. Storage and
 //!   engine errors from downstream crates convert into it via `From`
 //!   impls (downstream, where the orphan rule allows them), so a
-//!   heterogeneous router surfaces one typed error end-to-end instead
-//!   of a panic.
+//!   heterogeneous front-end surfaces one typed error end-to-end
+//!   instead of a panic.
 //!
 //! Keys are service-defined `u64`s, in keeping with the rest of this
 //! crate: a query hash for search and ads, a page index for web, a
-//! packed tile coordinate for maps. The router layer in `pocketsearch::
-//! fleet` routes `(service, key)` pairs onto `dyn CloudletService`
-//! lanes without knowing which cloudlet is behind each lane.
+//! packed tile coordinate for maps. The serving front-end
+//! ([`crate::frontend`]) routes `(service, key)` pairs onto
+//! `dyn CloudletService` lanes without knowing which cloudlet is behind
+//! each lane.
 //!
 //! (Note: [`crate::frontend`] has its own routing `ServeRequest` that
 //! additionally carries the service-group index; it converts to this
@@ -271,16 +274,6 @@ impl ServeOutcome {
     pub fn radio_slept(&self) -> bool {
         matches!(self.kind, ServeKind::Hit | ServeKind::StaleHit)
     }
-
-    /// Whether the request was answered from local state (a plain or
-    /// stale hit).
-    #[deprecated(
-        since = "0.1.0",
-        note = "inspect `source` (and `kind`) instead; a peer hit is not local"
-    )]
-    pub fn served_locally(&self) -> bool {
-        matches!(self.kind, ServeKind::Hit | ServeKind::StaleHit)
-    }
 }
 
 /// Monotone serving counters shared by every cloudlet.
@@ -410,7 +403,7 @@ impl ServeStats {
 /// Downstream crates convert their own errors into this one via `From`
 /// impls defined next to those error types (the orphan rule allows
 /// `impl From<DbError> for CloudletError` inside `flashdb`), so the
-/// fleet router and every `CloudletService` impl speak one error
+/// front-end and every `CloudletService` impl speak one error
 /// language without this crate depending on any of them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CloudletError {
@@ -427,15 +420,10 @@ pub enum CloudletError {
         /// The offending key.
         key: u64,
     },
-    /// A batch named a service group the router does not host.
+    /// A request named a service group the front-end does not host.
     UnknownService {
         /// The offending service group index.
         service: u32,
-    },
-    /// A concurrent serving worker died before finishing its lane.
-    WorkerFailed {
-        /// Human-readable description of the failure.
-        detail: String,
     },
     /// A bounded serving queue was full and the front-end's overflow
     /// policy sheds load instead of parking it
@@ -457,7 +445,6 @@ impl std::fmt::Display for CloudletError {
             CloudletError::UnknownService { service } => {
                 write!(f, "no such service group: {service}")
             }
-            CloudletError::WorkerFailed { detail } => write!(f, "serving worker failed: {detail}"),
             CloudletError::QueueFull { lane, depth } => {
                 write!(f, "serving queue full on lane {lane} (depth {depth})")
             }
@@ -482,9 +469,10 @@ impl From<CoreError> for CloudletError {
 
 /// One cloudlet behind the unified serving interface.
 ///
-/// The trait is object-safe: the fleet router stores
-/// `Box<dyn CloudletService + Send>` lanes and routes `(service, key)`
-/// events onto them without knowing the concrete cloudlet. Implementors
+/// The trait is object-safe: the serving front-end stores
+/// `Box<dyn CloudletService + Send + Sync>` lanes and routes
+/// `(service, key)` requests onto them without knowing the concrete
+/// cloudlet. Implementors
 /// must keep `service_stats` consistent with the outcomes `serve`
 /// returned — the equivalence property tests pin each impl to its
 /// legacy serve loop.
@@ -493,8 +481,10 @@ impl From<CoreError> for CloudletError {
 /// the exclusive `serve` and the read-only `try_serve_hit` fast path.
 /// The old four-method spread (`serve(key, now)` / `serve_user` /
 /// `try_serve_hit(key, now)` / `try_serve_hit_user`) collapsed into
-/// these; the `_user` forms remain for one PR as `#[deprecated]`
-/// forwarding shims so external callers migrate gradually.
+/// these. The `_user` forms stay as `#[deprecated]` forwarding shims:
+/// implementors outside this workspace (the host-time benchmark's
+/// traced lane) still override them, and deleting a trait method turns
+/// such an override into a compile error.
 pub trait CloudletService {
     /// Short stable name for reports ("search", "web", "maps", "ads").
     fn name(&self) -> &'static str;

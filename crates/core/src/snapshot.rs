@@ -27,7 +27,7 @@
 //!
 //! Two live cells whose ids collide in the direct-mapped array evict
 //! each other and read through the slow path. Ids are assigned
-//! sequentially, so collisions need more than [`THREAD_CACHE_SLOTS`]
+//! sequentially, so collisions need more than `THREAD_CACHE_SLOTS` (64)
 //! *simultaneously hot* cells per thread — far beyond the handful of
 //! shard mirrors and cache indexes the serving stack creates.
 //!

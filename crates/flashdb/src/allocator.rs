@@ -123,9 +123,10 @@ mod tests {
     }
 
     fn build(alloc: AllocPolicy) -> (ResultDb, FlashStore) {
-        let mut model = FlashModel::default();
-        model.alloc = alloc;
-        let mut flash = FlashStore::new(model);
+        let mut flash = FlashStore::new(FlashModel {
+            alloc,
+            ..FlashModel::default()
+        });
         let db = ResultDb::build((0..12).map(record), DbConfig::with_files(4), &mut flash);
         (db, flash)
     }

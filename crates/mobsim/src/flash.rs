@@ -906,8 +906,10 @@ mod tests {
 
     #[test]
     fn zero_length_writes_to_worn_blocks_are_free_and_harmless() {
-        let mut model = FlashModel::default();
-        model.wear = WearModel::enabled_with_seed(7);
+        let model = FlashModel {
+            wear: WearModel::enabled_with_seed(7),
+            ..FlashModel::default()
+        };
         let mut fs = FlashStore::new(model);
         fs.write_file("f", vec![0xAA; 64]);
         let block = fs.file_block_ids("f").unwrap()[0];
@@ -942,12 +944,14 @@ mod tests {
     #[test]
     fn worn_blocks_develop_deterministic_stuck_bits() {
         let build = || {
-            let mut model = FlashModel::default();
-            model.wear = WearModel {
-                enabled: true,
-                safe_erase_cycles: 10,
-                bit_failure_every: 2,
-                seed: 42,
+            let model = FlashModel {
+                wear: WearModel {
+                    enabled: true,
+                    safe_erase_cycles: 10,
+                    bit_failure_every: 2,
+                    seed: 42,
+                },
+                ..FlashModel::default()
             };
             let mut fs = FlashStore::new(model);
             fs.write_file("f", vec![0x00; 4_096]);
@@ -986,12 +990,14 @@ mod tests {
 
     #[test]
     fn stuck_at_zero_clears_bits_on_read() {
-        let mut model = FlashModel::default();
-        model.wear = WearModel {
-            enabled: true,
-            safe_erase_cycles: 0,
-            bit_failure_every: 1,
-            seed: 3,
+        let model = FlashModel {
+            wear: WearModel {
+                enabled: true,
+                safe_erase_cycles: 0,
+                bit_failure_every: 1,
+                seed: 3,
+            },
+            ..FlashModel::default()
         };
         let mut fs = FlashStore::new(model);
         fs.write_file("f", vec![0xFF; 4_096]);
@@ -1022,8 +1028,10 @@ mod tests {
 
     #[test]
     fn stuck_bits_outside_the_read_range_do_not_corrupt_it() {
-        let mut model = FlashModel::default();
-        model.wear = WearModel::enabled_with_seed(9);
+        let model = FlashModel {
+            wear: WearModel::enabled_with_seed(9),
+            ..FlashModel::default()
+        };
         let mut fs = FlashStore::new(model);
         fs.write_file("f", vec![0x00; 8_192]);
         let second = fs.file_block_ids("f").unwrap()[1];
@@ -1067,8 +1075,10 @@ mod tests {
 
     #[test]
     fn least_worn_policy_rotates_across_spares() {
-        let mut model = FlashModel::default();
-        model.alloc = AllocPolicy::LeastWorn { spares: 4 };
+        let model = FlashModel {
+            alloc: AllocPolicy::LeastWorn { spares: 4 },
+            ..FlashModel::default()
+        };
         let mut fs = FlashStore::new(model);
         for _ in 0..50 {
             fs.write_file("f", vec![0u8; 100]);

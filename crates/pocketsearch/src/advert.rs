@@ -136,7 +136,7 @@ impl cloudlet_core::service::CloudletService for AdCloudlet {
     }
 
     /// Serves the ad slot for `key` as a standalone consultation — the
-    /// trait router has no search outcome to thread through, so the
+    /// serving front-end has no search outcome to thread through, so the
     /// cloudlet is consulted as it would be after a search hit. (The
     /// search-miss skip path stays on [`AdCloudlet::serve`], which
     /// callers that know the search outcome use directly.)

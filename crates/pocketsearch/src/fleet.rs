@@ -1,281 +1,41 @@
-//! Heterogeneous concurrent serving: one router, many cloudlets.
+//! Sharded search serving: the search cloudlet as front-end lanes.
 //!
-//! The paper's evaluation serves one user from one thread. A cloudlet
-//! front-end — an edge box hosting the community cache, or a simulator
-//! replaying a whole population — has to serve a stream of
-//! `(user, service, key)` events concurrently, and §7's device hosts
-//! *several* cloudlets at once. [`ServeRouter`] scales both axes:
+//! A cloudlet front-end — an edge box hosting the community cache, or a
+//! simulator replaying a whole population — serves a stream of
+//! `(user, service, key)` requests concurrently, and §7's device hosts
+//! *several* cloudlets at once. The one serving loop for both is
+//! [`Frontend`]; this module supplies the search cloudlet's lanes:
 //!
-//! * every serving lane is a `Box<dyn CloudletService + Send>` behind
-//!   its own lock, so search shards, web caches, map caches, and ad
-//!   caches ride the same router ([`ServeRouter::from_services`]);
-//! * lanes are grouped by service: event `(service, key)` routes to
-//!   lane `key % group_len` of group `service`, which for an
-//!   all-search router reproduces the `query_hash % S` placement of the
-//!   sharded DRAM index exactly;
-//! * [`SearchShard`] is the search cloudlet's lane: shards of one
-//!   [`ShardedTable`] over a shared flash database, serving with the
-//!   exact hit/miss outcomes and simulated service times the
-//!   sequential engine would produce ([`ServeRouter::from_engine`]
-//!   builds a router of `S` of them);
-//! * the §7 budget arbiter sees every lane through the trait's
-//!   capacity hooks ([`ServeRouter::budget_allocation`]).
+//! * [`SearchShard`] is one lane: a shard of one [`ShardedTable`] over a
+//!   shared flash database, serving with the exact hit/miss outcomes and
+//!   simulated service times the sequential engine would produce;
+//! * [`SearchShard::fleet_of`] builds `S` of them from an engine;
+//! * [`search_frontend`] puts them behind a [`Frontend`] as service
+//!   group 0. A request routes to lane `key % S`, which reproduces the
+//!   `query_hash % S` placement of the sharded DRAM index exactly.
 //!
-//! [`ServeRouter::serve_batch`] fans a batch out across one `crossbeam`
-//! scoped thread per lane and reports per-lane counters. Aggregate
-//! counts are a pure function of each cloudlet's contents, so they are
-//! identical for any lane count; what fan-out buys is the *makespan* —
-//! the busiest lane's summed simulated service time — which is what
-//! bounds a concurrent fleet's throughput. All reported times are
-//! simulated (`mobsim::time`); the router never consults the host
-//! clock, so batch reports are bit-reproducible across machines.
+//! Under [`FrontendConfig::pr3_baseline`] every lane drains serially
+//! behind an exclusive lock and a batch's makespan is the busiest lane's
+//! summed simulated service time — the fleet ablation's model.
+//! Heterogeneous fleets (search shards beside web, maps and ad lanes)
+//! are one [`Frontend::new`] call with one lane group per service. All
+//! reported times are simulated (`mobsim::time`), so reports are
+//! bit-reproducible across machines.
 
-use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 
 use cloudlet_core::arbiter::DemandContext;
-use cloudlet_core::coordination::{CloudletBudgets, CloudletId};
-use cloudlet_core::counters::CounterSet;
-use cloudlet_core::frontend::{Frontend, FrontendConfig, ServeRequest};
-use cloudlet_core::service::{CloudletError, CloudletService, ServeKind, ServeOutcome, ServeStats};
+use cloudlet_core::coordination::{BudgetDemand, CloudletId};
+use cloudlet_core::frontend::{Frontend, FrontendConfig};
+use cloudlet_core::service::{
+    CloudletError, CloudletService, ServeOutcome, ServeRequest, ServeStats,
+};
 use cloudlet_core::shard::ShardedTable;
 use flashdb::ResultDb;
-use mobsim::time::{SimDuration, SimInstant};
+use mobsim::time::SimDuration;
 use mobsim::FlashStore;
 
 use crate::engine::PocketSearch;
-
-/// One serving request: a user asking one service for one key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FleetEvent {
-    /// The requesting user (stable identifier; used for accounting and
-    /// future per-user state, not for routing).
-    pub user: u64,
-    /// Which service group handles this event (0 for a single-service
-    /// router).
-    pub service: u32,
-    /// Service-defined key: a query hash for search and ads, a page
-    /// index for web, a packed tile coordinate for maps. Routes the
-    /// event to lane `key % group_len` within its group.
-    pub key: u64,
-    /// Simulated instant of the request, passed to
-    /// [`CloudletService::serve`] (freshness-aware cloudlets need it).
-    pub at: SimInstant,
-}
-
-impl FleetEvent {
-    /// An event for service group `service`.
-    pub fn new(user: u64, service: u32, key: u64, at: SimInstant) -> Self {
-        FleetEvent {
-            user,
-            service,
-            key,
-            at,
-        }
-    }
-
-    /// A search query event (service group 0, at the simulation epoch).
-    pub fn search(user: u64, query_hash: u64) -> Self {
-        FleetEvent::new(user, 0, query_hash, SimInstant::ZERO)
-    }
-}
-
-impl From<FleetEvent> for ServeRequest {
-    /// A fleet event is exactly a front-end request; the two layers
-    /// share routing semantics (`key % group_len` within `service`).
-    fn from(event: FleetEvent) -> Self {
-        ServeRequest::new(event.user, event.service, event.key, event.at)
-    }
-}
-
-/// Outcome of serving a single event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FleetServed {
-    /// The service-layer outcome.
-    pub outcome: ServeOutcome,
-    /// The lane (global index across groups) that served it.
-    pub lane: usize,
-}
-
-impl FleetServed {
-    /// Whether the event was served from the cloudlet's local state.
-    pub fn hit(&self) -> bool {
-        self.outcome.kind == ServeKind::Hit
-    }
-
-    /// Simulated device time to serve it.
-    pub fn service(&self) -> SimDuration {
-        self.outcome.service
-    }
-}
-
-/// Monotonic per-lane counters, updated lock-free by workers through
-/// the shared [`CounterSet`] bank (which owns the ordering argument).
-#[derive(Debug, Default)]
-struct LaneCounters(CounterSet<8>);
-
-impl LaneCounters {
-    const EVENTS: usize = 0;
-    const HITS: usize = 1;
-    const STALE_HITS: usize = 2;
-    const MISSES: usize = 3;
-    const SKIPPED: usize = 4;
-    const ERRORS: usize = 5;
-    const RADIO_BYTES: usize = 6;
-    const BUSY_MICROS: usize = 7;
-
-    fn record(&self, result: &Result<ServeOutcome, CloudletError>) {
-        self.0.bump(Self::EVENTS, 1);
-        match result {
-            Ok(outcome) => {
-                let bucket = match outcome.kind {
-                    ServeKind::Hit => Self::HITS,
-                    ServeKind::StaleHit => Self::STALE_HITS,
-                    ServeKind::Miss => Self::MISSES,
-                    ServeKind::Skipped => Self::SKIPPED,
-                };
-                self.0.bump(bucket, 1);
-                self.0.bump(Self::RADIO_BYTES, outcome.radio_bytes);
-                self.0.bump(Self::BUSY_MICROS, outcome.service.as_micros());
-            }
-            Err(_) => {
-                self.0.bump(Self::ERRORS, 1);
-            }
-        }
-    }
-
-    fn snapshot(&self) -> ShardReport {
-        ShardReport {
-            events: self.0.peek(Self::EVENTS),
-            hits: self.0.peek(Self::HITS),
-            stale_hits: self.0.peek(Self::STALE_HITS),
-            misses: self.0.peek(Self::MISSES),
-            skipped: self.0.peek(Self::SKIPPED),
-            errors: self.0.peek(Self::ERRORS),
-            radio_bytes: self.0.peek(Self::RADIO_BYTES),
-            busy: SimDuration::from_micros(self.0.peek(Self::BUSY_MICROS)),
-        }
-    }
-}
-
-/// One lane's serving totals.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ShardReport {
-    /// Events routed to this lane.
-    pub events: u64,
-    /// Local hits among them.
-    pub hits: u64,
-    /// Stale hits (served locally, freshness refetch charged).
-    pub stale_hits: u64,
-    /// Radio misses.
-    pub misses: u64,
-    /// Declined consultations.
-    pub skipped: u64,
-    /// Events whose serve returned a typed error.
-    pub errors: u64,
-    /// Radio bytes across this lane's outcomes.
-    pub radio_bytes: u64,
-    /// Summed simulated service time of this lane's events.
-    pub busy: SimDuration,
-}
-
-impl ShardReport {
-    fn minus(self, earlier: ShardReport) -> ShardReport {
-        ShardReport {
-            events: self.events - earlier.events,
-            hits: self.hits - earlier.hits,
-            stale_hits: self.stale_hits - earlier.stale_hits,
-            misses: self.misses - earlier.misses,
-            skipped: self.skipped - earlier.skipped,
-            errors: self.errors - earlier.errors,
-            radio_bytes: self.radio_bytes - earlier.radio_bytes,
-            busy: self.busy.saturating_sub(earlier.busy),
-        }
-    }
-}
-
-/// Result of a [`ServeRouter::serve_batch`] run. Every number is in
-/// simulated time or counts — nothing here depends on the host machine.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FleetReport {
-    /// Per-lane totals for this batch, indexed by global lane index.
-    pub shards: Vec<ShardReport>,
-}
-
-impl FleetReport {
-    /// Events served.
-    pub fn events(&self) -> u64 {
-        self.shards.iter().map(|s| s.events).sum()
-    }
-
-    /// Local hits across lanes.
-    pub fn hits(&self) -> u64 {
-        self.shards.iter().map(|s| s.hits).sum()
-    }
-
-    /// Stale hits across lanes.
-    pub fn stale_hits(&self) -> u64 {
-        self.shards.iter().map(|s| s.stale_hits).sum()
-    }
-
-    /// Radio misses across lanes.
-    pub fn misses(&self) -> u64 {
-        self.shards.iter().map(|s| s.misses).sum()
-    }
-
-    /// Declined consultations across lanes.
-    pub fn skipped(&self) -> u64 {
-        self.shards.iter().map(|s| s.skipped).sum()
-    }
-
-    /// Typed serve errors across lanes.
-    pub fn errors(&self) -> u64 {
-        self.shards.iter().map(|s| s.errors).sum()
-    }
-
-    /// Radio bytes across lanes.
-    pub fn radio_bytes(&self) -> u64 {
-        self.shards.iter().map(|s| s.radio_bytes).sum()
-    }
-
-    /// Aggregate pure-hit ratio over attempted events (skips and
-    /// errors excluded from the denominator).
-    pub fn hit_rate(&self) -> f64 {
-        let attempted = self.events() - self.skipped() - self.errors();
-        if attempted == 0 {
-            0.0
-        } else {
-            self.hits() as f64 / attempted as f64
-        }
-    }
-
-    /// Summed simulated service time across all lanes — what one
-    /// serving lane would take to drain the batch alone.
-    pub fn total_busy(&self) -> SimDuration {
-        self.shards.iter().map(|s| s.busy).sum()
-    }
-
-    /// The busiest lane's simulated service time. With one worker per
-    /// lane this is the simulated time until the whole batch drains.
-    pub fn makespan(&self) -> SimDuration {
-        self.shards
-            .iter()
-            .map(|s| s.busy)
-            .max()
-            .unwrap_or(SimDuration::ZERO)
-    }
-
-    /// Serving throughput in events per simulated second, at one
-    /// worker per lane: `events / makespan`.
-    pub fn throughput_qps(&self) -> f64 {
-        let makespan = self.makespan().as_secs_f64();
-        if makespan == 0.0 {
-            0.0
-        } else {
-            self.events() as f64 / makespan
-        }
-    }
-}
 
 /// Fixed serving-time components, taken from the engine's device model
 /// so [`SearchShard`] timings match `PocketSearch::serve` (Table 4):
@@ -356,24 +116,12 @@ impl CloudletService for SearchShard {
         "search"
     }
 
-    fn serve(
-        &mut self,
-        request: &cloudlet_core::service::ServeRequest,
-    ) -> Result<ServeOutcome, CloudletError> {
-        let top: Option<Vec<u64>> = self
-            .table
-            .lookup(request.key)
-            .map(|results| results.iter().take(2).map(|r| r.result_hash).collect());
-        let outcome = match top {
-            Some(top) => match self.db.get_many(top, &self.flash) {
-                Ok((_, fetch_time)) => ServeOutcome::hit()
-                    .with_service(self.costs.lookup + fetch_time + self.costs.render_and_misc),
-                Err(_) => {
-                    ServeOutcome::miss(self.costs.miss_bytes).with_service(self.costs.miss_total)
-                }
-            },
-            None => ServeOutcome::miss(self.costs.miss_bytes).with_service(self.costs.miss_total),
-        };
+    /// A hit is exactly what the read-only fast path answers; anything
+    /// it declines is a radio miss.
+    fn serve(&mut self, request: &ServeRequest) -> Result<ServeOutcome, CloudletError> {
+        let outcome = self.try_serve_hit(request).unwrap_or_else(|| {
+            ServeOutcome::miss(self.costs.miss_bytes).with_service(self.costs.miss_total)
+        });
         self.stats.record(&outcome);
         Ok(outcome)
     }
@@ -383,10 +131,7 @@ impl CloudletService for SearchShard {
     /// whole hit path runs under a shared lock. Misses (and index
     /// entries whose records are gone from the database) decline to the
     /// exclusive path, which also keeps miss accounting in one place.
-    fn try_serve_hit(
-        &self,
-        request: &cloudlet_core::service::ServeRequest,
-    ) -> Option<ServeOutcome> {
+    fn try_serve_hit(&self, request: &ServeRequest) -> Option<ServeOutcome> {
         let top: Vec<u64> = self
             .table
             .lookup(request.key)?
@@ -414,12 +159,8 @@ impl CloudletService for SearchShard {
     /// so a lane cannot grow or shrink its slice independently — the
     /// adaptive arbiter moves capacity *between cloudlets* via the
     /// context's priority, which passes through unchanged here.
-    fn budget_demand(
-        &self,
-        cloudlet: CloudletId,
-        ctx: &DemandContext,
-    ) -> cloudlet_core::coordination::BudgetDemand {
-        cloudlet_core::coordination::BudgetDemand {
+    fn budget_demand(&self, cloudlet: CloudletId, ctx: &DemandContext) -> BudgetDemand {
+        BudgetDemand {
             cloudlet,
             demand_bytes: self.table.read(self.shard).footprint_bytes(),
             priority: ctx.priority,
@@ -427,12 +168,12 @@ impl CloudletService for SearchShard {
     }
 }
 
-/// Builds a pipelined [`Frontend`] of `n_shards` search lanes over one
-/// shared sharded index, the front-end analogue of
-/// [`ServeRouter::from_engine`]. Search lanes are replicas — the
-/// sharded table routes any key to its owning shard internally — so
-/// every front-end feature (coalescing, work stealing, the shared-lock
-/// hit path) is semantics-preserving here.
+/// Builds a [`Frontend`] of `n_shards` [`SearchShard`] lanes (service
+/// group 0) over one shared sharded index, and returns the index beside
+/// it. Search lanes are replicas — the sharded table routes any key to
+/// its owning shard internally — so every front-end feature
+/// (coalescing, work stealing, the shared-lock hit path) is
+/// semantics-preserving here.
 ///
 /// # Panics
 ///
@@ -450,285 +191,15 @@ pub fn search_frontend(
     (table, Frontend::new(vec![lanes], config))
 }
 
-/// One serving lane: a cloudlet behind its own lock, with lock-free
-/// counters beside it.
-struct Lane {
-    service: Mutex<Box<dyn CloudletService + Send>>,
-    counters: LaneCounters,
-}
-
-impl Lane {
-    fn new(service: Box<dyn CloudletService + Send>) -> Self {
-        Lane {
-            service: Mutex::new(service),
-            counters: LaneCounters::default(),
-        }
-    }
-}
-
-impl std::fmt::Debug for Lane {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Lane")
-            .field("counters", &self.counters)
-            .finish_non_exhaustive()
-    }
-}
-
-/// A concurrent serving front-end over a set of [`CloudletService`]
-/// lanes, grouped by service.
-///
-/// The router is `Sync`; [`ServeRouter::serve_one`] may be called from
-/// any number of threads (each lane serializes behind its own lock).
-/// [`ServeRouter::serve_batch`] partitions a batch by owning lane and
-/// drains each lane on its own scoped thread.
-#[derive(Debug)]
-pub struct ServeRouter {
-    /// `groups[service]` lists the global lane indices of that service.
-    groups: Vec<Vec<usize>>,
-    lanes: Vec<Lane>,
-    /// The sharded DRAM index, when this is a search router.
-    search_table: Option<Arc<ShardedTable>>,
-    /// The flash database layout, when this is a search router.
-    search_db: Option<ResultDb>,
-}
-
-impl ServeRouter {
-    /// Builds an all-search router: service group 0 holds `n_shards`
-    /// [`SearchShard`] lanes over the engine's cache table, database,
-    /// and device timing model.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `n_shards` is zero.
-    pub fn from_engine(engine: &PocketSearch, n_shards: usize) -> Self {
-        let (table, shards) = SearchShard::fleet_of(engine, n_shards);
-        let lanes: Vec<Lane> = shards
-            .into_iter()
-            .map(|s| Lane::new(Box::new(s) as Box<dyn CloudletService + Send>))
-            .collect();
-        ServeRouter {
-            groups: vec![(0..lanes.len()).collect()],
-            lanes,
-            search_table: Some(table),
-            search_db: Some(engine.db().clone()),
-        }
-    }
-
-    /// Builds a heterogeneous router: `groups[i]` becomes service group
-    /// `i`, each boxed cloudlet one lane. Lanes are numbered globally
-    /// in group order.
-    ///
-    /// # Panics
-    ///
-    /// Panics when any group is empty (a service with no lanes could
-    /// never route).
-    pub fn from_services(groups: Vec<Vec<Box<dyn CloudletService + Send>>>) -> Self {
-        let mut lane_groups = Vec::with_capacity(groups.len());
-        let mut lanes = Vec::new();
-        for group in groups {
-            assert!(!group.is_empty(), "every service group needs a lane");
-            let mut indices = Vec::with_capacity(group.len());
-            for service in group {
-                indices.push(lanes.len());
-                lanes.push(Lane::new(service));
-            }
-            lane_groups.push(indices);
-        }
-        ServeRouter {
-            groups: lane_groups,
-            lanes,
-            search_table: None,
-            search_db: None,
-        }
-    }
-
-    /// Total lane count across all groups.
-    pub fn lane_count(&self) -> usize {
-        self.lanes.len()
-    }
-
-    /// Number of service groups.
-    pub fn group_count(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// Number of lanes in the (single) search group of an all-search
-    /// router; kept for symmetry with the original sharded router.
-    pub fn shard_count(&self) -> usize {
-        self.lanes.len()
-    }
-
-    /// The sharded DRAM index of an all-search router built with
-    /// [`ServeRouter::from_engine`]; `None` for heterogeneous routers.
-    pub fn table(&self) -> Option<&ShardedTable> {
-        self.search_table.as_deref()
-    }
-
-    /// The stable name of the cloudlet behind lane `lane`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `lane` is out of range.
-    pub fn lane_name(&self, lane: usize) -> &'static str {
-        self.lanes[lane]
-            .service
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .name()
-    }
-
-    /// The database files search lane `shard` owns: every file `i` with
-    /// `i % shard_count == shard`, consistent with the database's
-    /// `result_hash % n_files` placement. Empty for routers without a
-    /// search database.
-    pub fn files_for_shard(&self, shard: usize) -> Vec<String> {
-        let Some(db) = &self.search_db else {
-            return Vec::new();
-        };
-        (0..db.config().n_files)
-            .filter(|i| i % self.shard_count() == shard)
-            .map(|i| db.file_name_of(i))
-            .collect()
-    }
-
-    /// The global lane index an event routes to.
-    ///
-    /// # Errors
-    ///
-    /// [`CloudletError::UnknownService`] when the event names a service
-    /// group the router does not host.
-    pub fn lane_of(&self, event: &FleetEvent) -> Result<usize, CloudletError> {
-        let group = self
-            .groups
-            .get(event.service as usize)
-            .filter(|g| !g.is_empty())
-            .ok_or(CloudletError::UnknownService {
-                service: event.service,
-            })?;
-        Ok(group[(event.key % group.len() as u64) as usize])
-    }
-
-    /// Serves one event on its owning lane, updating that lane's
-    /// counters. Thread-safe.
-    ///
-    /// # Errors
-    ///
-    /// Routing errors ([`CloudletError::UnknownService`]) and any typed
-    /// error the cloudlet's serve path returns; cloudlet errors are
-    /// also tallied in the lane's `errors` counter.
-    pub fn serve_one(&self, event: FleetEvent) -> Result<FleetServed, CloudletError> {
-        let lane_idx = self.lane_of(&event)?;
-        let lane = &self.lanes[lane_idx];
-        let result = {
-            let mut service = lane.service.lock().unwrap_or_else(PoisonError::into_inner);
-            // The router predates user-aware serving: events carry no
-            // user identity, so the request stays anonymous.
-            service.serve(&cloudlet_core::service::ServeRequest::new(
-                event.key, event.at,
-            ))
-        };
-        lane.counters.record(&result);
-        result.map(|outcome| FleetServed {
-            outcome,
-            lane: lane_idx,
-        })
-    }
-
-    /// Cumulative per-lane totals since the router was built.
-    pub fn snapshot(&self) -> Vec<ShardReport> {
-        self.lanes.iter().map(|l| l.counters.snapshot()).collect()
-    }
-
-    /// Per-lane serve-path statistics straight from each cloudlet.
-    pub fn lane_stats(&self) -> Vec<ServeStats> {
-        self.lanes
-            .iter()
-            .map(|l| {
-                l.service
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .service_stats()
-            })
-            .collect()
-    }
-
-    /// Arbitrates `total_bytes` of shared index budget across the
-    /// lanes with the §7 water-filling arbiter: each lane is asked for
-    /// its demand with the static [`DemandContext::equal_priority`]
-    /// context (epoch 0, no telemetry), keyed by its global lane index.
-    /// This is the one-shot, telemetry-free allocation; the adaptive
-    /// loop lives in `cloudlet_core::arbiter` and
-    /// `Frontend::arbitrate`.
-    pub fn budget_allocation(&self, total_bytes: usize) -> BTreeMap<CloudletId, usize> {
-        let mut budgets = CloudletBudgets::new(total_bytes);
-        let ctx = DemandContext::equal_priority(0);
-        for (i, lane) in self.lanes.iter().enumerate() {
-            let service = lane.service.lock().unwrap_or_else(PoisonError::into_inner);
-            budgets.register(service.budget_demand(CloudletId(i as u32), &ctx));
-        }
-        budgets.allocate()
-    }
-
-    /// Serves a batch concurrently: events are partitioned by owning
-    /// lane and each non-empty lane is drained by its own scoped
-    /// thread. Returns this batch's per-lane totals (counters advanced
-    /// by concurrent `serve_one` callers are excluded only if no such
-    /// callers run during the batch; don't mix the two mid-batch).
-    ///
-    /// Cloudlet-level serve errors do *not* fail the batch — they are
-    /// tallied per lane in [`ShardReport::errors`] and the remaining
-    /// events proceed.
-    ///
-    /// # Errors
-    ///
-    /// [`CloudletError::UnknownService`] when any event names a service
-    /// group the router does not host (nothing is served);
-    /// [`CloudletError::WorkerFailed`] if a lane worker dies mid-batch.
-    pub fn serve_batch(&self, events: &[FleetEvent]) -> Result<FleetReport, CloudletError> {
-        let before = self.snapshot();
-
-        let mut per_lane: Vec<Vec<FleetEvent>> =
-            (0..self.lanes.len()).map(|_| Vec::new()).collect();
-        for &event in events {
-            per_lane[self.lane_of(&event)?].push(event);
-        }
-        let scope_result = crossbeam::thread::scope(|scope| {
-            for lane in &per_lane {
-                if lane.is_empty() {
-                    continue;
-                }
-                scope.spawn(move |_| {
-                    for &event in lane {
-                        // Typed errors are tallied in the lane counters;
-                        // the worker keeps draining.
-                        let _ = self.serve_one(event);
-                    }
-                });
-            }
-        });
-        if scope_result.is_err() {
-            return Err(CloudletError::WorkerFailed {
-                detail: "a lane worker panicked mid-batch".into(),
-            });
-        }
-
-        let shards = self
-            .snapshot()
-            .into_iter()
-            .zip(before)
-            .map(|(now, then)| now.minus(then))
-            .collect();
-        Ok(FleetReport { shards })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::PocketSearchConfig;
-    use crate::engine::{Catalog, PocketSearch};
+    use crate::engine::Catalog;
     use cloudlet_core::contentgen::{AdmissionPolicy, CacheContents};
     use cloudlet_core::corpus::UniverseCorpus;
+    use cloudlet_core::frontend::{FrontendReport, ServeRequest};
+    use mobsim::time::SimInstant;
     use querylog::generator::{GeneratorConfig, LogGenerator};
     use querylog::triplets::TripletTable;
 
@@ -748,148 +219,82 @@ mod tests {
         (engine, cached)
     }
 
-    fn batch(cached: &[u64], n: usize) -> Vec<FleetEvent> {
+    /// Every third request is a guaranteed miss, the rest cached queries.
+    fn batch(cached: &[u64], n: usize) -> Vec<ServeRequest> {
         (0..n)
             .map(|i| {
                 let key = if i % 3 == 0 {
-                    // Mix cached queries with guaranteed misses.
                     u64::MAX - i as u64
                 } else {
                     cached[i % cached.len()]
                 };
-                FleetEvent::search((i % 7) as u64, key)
+                ServeRequest::new((i % 7) as u64, 0, key, SimInstant::ZERO)
             })
             .collect()
     }
 
-    #[test]
-    fn batch_outcomes_match_sequential_engine() {
-        let (engine, cached) = test_engine();
-        let events = batch(&cached, 240);
-        let router = ServeRouter::from_engine(&engine, 8);
-        let report = router.serve_batch(&events).expect("search batch");
+    fn baseline_report(
+        engine: &PocketSearch,
+        shards: usize,
+        requests: &[ServeRequest],
+    ) -> FrontendReport {
+        let (_, frontend) = search_frontend(engine, shards, FrontendConfig::pr3_baseline());
+        frontend.serve_batch(requests).expect("search batch").report
+    }
 
+    #[test]
+    fn batches_match_the_sequential_engine_at_any_shard_count() {
+        let (engine, cached) = test_engine();
+        let requests = batch(&cached, 400);
         let mut sequential = engine.clone();
-        let seq_hits = events
+        let seq_hits = requests
             .iter()
-            .filter(|e| sequential.serve(e.key).hit)
+            .filter(|r| sequential.serve(r.key).hit)
             .count() as u64;
-
-        assert_eq!(report.events(), events.len() as u64);
-        assert_eq!(report.hits(), seq_hits);
-        assert_eq!(report.misses(), events.len() as u64 - seq_hits);
-        assert_eq!(report.errors(), 0);
-    }
-
-    #[test]
-    fn hit_ratio_is_invariant_across_shard_counts() {
-        let (engine, cached) = test_engine();
-        let events = batch(&cached, 300);
-        let baseline = ServeRouter::from_engine(&engine, 1)
-            .serve_batch(&events)
-            .expect("1-shard batch");
+        let one = baseline_report(&engine, 1, &requests);
+        assert_eq!(one.events(), requests.len() as u64);
+        assert_eq!((one.hits(), one.errors()), (seq_hits, 0));
+        assert_eq!(one.misses(), requests.len() as u64 - seq_hits);
+        assert_eq!(one.makespan, one.total_busy());
         for shards in [2, 4, 16] {
-            let report = ServeRouter::from_engine(&engine, shards)
-                .serve_batch(&events)
-                .expect("batch");
-            assert_eq!(report.hits(), baseline.hits(), "{shards} shards");
-            assert_eq!(report.misses(), baseline.misses(), "{shards} shards");
-            assert_eq!(
-                report.total_busy(),
-                baseline.total_busy(),
-                "{shards} shards"
-            );
+            let report = baseline_report(&engine, shards, &requests);
+            assert_eq!(report.hits(), one.hits(), "{shards} shards");
+            assert_eq!(report.misses(), one.misses(), "{shards} shards");
+            assert_eq!(report.total_busy(), one.total_busy(), "{shards} shards");
+            assert!(report.makespan < one.makespan, "{shards} shards");
         }
-    }
-
-    #[test]
-    fn sharding_shrinks_makespan() {
-        let (engine, cached) = test_engine();
-        let events = batch(&cached, 400);
-        let one = ServeRouter::from_engine(&engine, 1)
-            .serve_batch(&events)
-            .expect("batch");
-        let sixteen = ServeRouter::from_engine(&engine, 16)
-            .serve_batch(&events)
-            .expect("batch");
-        assert!(sixteen.makespan() < one.makespan());
-        assert_eq!(one.makespan(), one.total_busy());
-    }
-
-    #[test]
-    fn file_partition_covers_each_file_once() {
-        let (engine, _) = test_engine();
-        let router = ServeRouter::from_engine(&engine, 5);
-        let mut all: Vec<String> = (0..router.shard_count())
-            .flat_map(|s| router.files_for_shard(s))
-            .collect();
-        all.sort();
-        let n_files = engine.db().config().n_files;
-        assert_eq!(all.len(), n_files);
-        all.dedup();
-        assert_eq!(all.len(), n_files, "no file assigned twice");
     }
 
     #[test]
     fn served_outcome_reports_owning_lane() {
         let (engine, cached) = test_engine();
-        let router = ServeRouter::from_engine(&engine, 4);
-        let served = router
-            .serve_one(FleetEvent::search(1, cached[0]))
+        let (_, frontend) = search_frontend(&engine, 4, FrontendConfig::pr3_baseline());
+        let served = frontend
+            .serve_one(ServeRequest::new(1, 0, cached[0], SimInstant::ZERO))
             .expect("search serve");
         assert!(served.hit());
         assert_eq!(served.lane, (cached[0] % 4) as usize);
-        assert!(served.service() > SimDuration::ZERO);
-        assert_eq!(router.lane_name(served.lane), "search");
+        assert!(served.outcome.expect("served").service > SimDuration::ZERO);
+        assert_eq!(frontend.lane_name(served.lane), "search");
+        let stats = frontend.telemetry().lane_stats();
+        assert_eq!(stats[served.lane].hits, 1, "the lane counted its hit");
+        assert_eq!(stats.iter().map(|s| s.serves).sum::<u64>(), 1);
     }
 
     #[test]
-    fn unknown_service_group_is_a_typed_error() {
-        let (engine, cached) = test_engine();
-        let router = ServeRouter::from_engine(&engine, 2);
-        let bad = FleetEvent::new(0, 9, cached[0], SimInstant::ZERO);
-        assert_eq!(
-            router.serve_one(bad),
-            Err(CloudletError::UnknownService { service: 9 })
-        );
-        assert_eq!(
-            router.serve_batch(&[bad]),
-            Err(CloudletError::UnknownService { service: 9 })
-        );
-    }
-
-    #[test]
-    fn budget_allocation_sees_every_lane() {
+    fn shards_demand_their_slice_of_the_index() {
         let (engine, _) = test_engine();
-        let router = ServeRouter::from_engine(&engine, 4);
-        let total: usize = 1 << 20;
-        let granted = router.budget_allocation(total);
-        assert_eq!(granted.len(), 4);
-        let sum: usize = granted.values().sum();
-        assert!(sum <= total);
-        // Demands equal the per-shard index footprints, which the
-        // arbiter never over-grants.
-        for (id, bytes) in &granted {
-            let lane = id.0 as usize;
-            let demand = router
-                .table()
-                .expect("search router")
-                .read(lane)
-                .footprint_bytes();
-            assert!(*bytes <= demand, "lane {lane} over-granted");
+        let (table, shards) = SearchShard::fleet_of(&engine, 4);
+        let ctx = DemandContext::equal_priority(0);
+        for shard in &shards {
+            let id = CloudletId(shard.shard_index() as u32);
+            let demand = shard.budget_demand(id, &ctx);
+            assert_eq!(demand.cloudlet, id);
+            assert_eq!(
+                demand.demand_bytes,
+                table.read(shard.shard_index()).footprint_bytes()
+            );
+            assert_eq!(shard.cache_bytes(), demand.demand_bytes as u64);
         }
-    }
-
-    #[test]
-    fn search_router_matches_trait_level_stats() {
-        let (engine, cached) = test_engine();
-        let router = ServeRouter::from_engine(&engine, 3);
-        let events = batch(&cached, 120);
-        let report = router.serve_batch(&events).expect("batch");
-        let lane_stats = router.lane_stats();
-        let hits: u64 = lane_stats.iter().map(|s| s.hits).sum();
-        let serves: u64 = lane_stats.iter().map(|s| s.serves).sum();
-        assert_eq!(hits, report.hits());
-        assert_eq!(serves, report.events());
     }
 }

@@ -13,10 +13,10 @@
 //! query streams against a configured cache exactly as §6.2 does, and
 //! [`experiment`] packages the headline studies (Figure 15 latency/energy,
 //! Figure 16 power traces, Figures 17–19 hit rates, §6.2.2 daily updates).
-//! [`fleet`] scales serving beyond one device: a [`fleet::ServeRouter`]
-//! shards the DRAM index by `query_hash % S` and fans `(user, query)`
-//! batches across one worker thread per shard, with per-shard hit, miss,
-//! and busy-time counters.
+//! [`fleet`] scales serving beyond one device: [`fleet::search_frontend`]
+//! shards the DRAM index by `query_hash % S` and serves `(user, query)`
+//! batches through `cloudlet_core::frontend::Frontend`, one
+//! [`fleet::SearchShard`] lane per shard.
 //!
 //! # Example
 //!
@@ -59,7 +59,6 @@ pub mod suggest;
 pub use advert::{AdCloudlet, AdOutcome};
 pub use config::PocketSearchConfig;
 pub use engine::{Catalog, PocketSearch, RecoveryStats, ServedQuery};
-pub use fleet::{FleetEvent, FleetReport, ServeRouter, ShardReport};
 pub use navigation::navigation_time;
 pub use replay::{replay_population, replay_user, ClassSummary, ReplayOutcome};
 pub use suggest::{SuggestIndex, Suggestion};

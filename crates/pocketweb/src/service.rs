@@ -121,7 +121,7 @@ impl CloudletService for WebService {
     /// idle only defends the bytes it already caches instead of bidding
     /// for its full flash budget, freeing headroom for busy cloudlets.
     /// Static contexts (epoch 0, no telemetry) keep the full-capacity
-    /// demand, so one-shot `budget_allocation` calls are unchanged.
+    /// demand, so one-shot static allocations are unchanged.
     fn budget_demand(&self, cloudlet: CloudletId, ctx: &DemandContext) -> BudgetDemand {
         let demand = if ctx.epoch > 0 && !ctx.observed() {
             self.web.cached_bytes()

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Regenerate the committed benchmark artifacts.
 #
-# Runs the test-scale `--study frontend` and `--study arbiter` ablations
-# (deterministic in the seed — every number is simulated device time, so
+# Runs the artifact-writing ablation studies (all but hotpath are
+# deterministic in the seed — every number is simulated device time, so
 # the JSON is identical on any host) and writes, at the repo root:
 #   BENCH_frontend.json — sim qps, hit ratio, p99 sim queue wait, and
 #     coalesced/stolen counts per front-end config.
@@ -24,31 +24,65 @@
 #     pairs is the paper's pocket-sized community cache; at DRAM-bound
 #     sizes both paths converge on memory latency.
 #
-# Usage: scripts/bench.sh [--full]   (--full runs the paper-scale sweeps;
-# the committed artifacts are the test-scale ones, except the population
-# study which is committed at full scale.)
+# Usage: scripts/bench.sh [--full | --check]
+#   (no flag)  regenerate every artifact at the committed scales: test
+#              scale, except the population study at full scale.
+#   --full     run the paper-scale sweeps instead (not what is committed).
+#   --check    regenerate every deterministic artifact (all but hotpath)
+#              into a temp dir and byte-compare it with the committed
+#              file; exits 1 naming each stale artifact. check.sh and CI
+#              run this, so an artifact cannot silently drift.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-scale_flag="--scale test"
-if [[ "${1:-}" == "--full" ]]; then
-  scale_flag="--scale full"
+scale="test"
+check=false
+case "${1:-}" in
+  "") ;;
+  --full) scale="full" ;;
+  --check) check=true ;;
+  *)
+    echo "usage: scripts/bench.sh [--full | --check]" >&2
+    exit 2
+    ;;
+esac
+
+# run_study <study> <scale> <out>
+run_study() {
+  cargo run --release -q -p pocket-bench --bin ablations -- \
+    --study "$1" --scale "$2" --seed 2011 --out "$3"
+}
+
+# The deterministic artifacts as study:scale, in generation order.
+deterministic=(
+  "frontend:${scale}"
+  "arbiter:${scale}"
+  "wear:${scale}"
+  "population:full"
+  "peers:${scale}"
+)
+
+if [[ "${check}" == true ]]; then
+  tmp="$(mktemp -d)"
+  trap 'rm -rf "${tmp}"' EXIT
+  stale=0
+  for entry in "${deterministic[@]}"; do
+    study="${entry%%:*}"
+    artifact="BENCH_${study}.json"
+    run_study "${study}" "${entry#*:}" "${tmp}/${artifact}" > /dev/null
+    if cmp -s "${tmp}/${artifact}" "${artifact}"; then
+      echo "ok     ${artifact}"
+    else
+      echo "STALE  ${artifact} (regenerate with scripts/bench.sh):"
+      diff "${artifact}" "${tmp}/${artifact}" | head -20 || true
+      stale=1
+    fi
+  done
+  exit "${stale}"
 fi
 
-cargo run --release -q -p pocket-bench --bin ablations -- \
-  --study frontend ${scale_flag} --seed 2011 --out BENCH_frontend.json
-
-cargo run --release -q -p pocket-bench --bin ablations -- \
-  --study arbiter ${scale_flag} --seed 2011 --out BENCH_arbiter.json
-
-cargo run --release -q -p pocket-bench --bin ablations -- \
-  --study wear ${scale_flag} --seed 2011 --out BENCH_wear.json
-
-cargo run --release -q -p pocket-bench --bin ablations -- \
-  --study population --scale full --seed 2011 --out BENCH_population.json
-
-cargo run --release -q -p pocket-bench --bin ablations -- \
-  --study peers ${scale_flag} --seed 2011 --out BENCH_peers.json
-
-cargo run --release -q -p pocket-bench --bin ablations -- \
-  --study hotpath --scale test --seed 2011 --out BENCH_hotpath.json
+for entry in "${deterministic[@]}"; do
+  study="${entry%%:*}"
+  run_study "${study}" "${entry#*:}" "BENCH_${study}.json"
+done
+run_study hotpath test BENCH_hotpath.json

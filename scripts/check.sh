@@ -29,16 +29,19 @@ cargo test -q -p cloudlet-core --lib hashtable::atomic
 echo "==> cargo test -q -p cloudlet-core --lib peer (fast peer-fabric gate)"
 cargo test -q -p cloudlet-core --lib peer
 
-echo "==> cargo test -q"
-cargo test -q
+echo "==> cargo test -q --workspace"
+cargo test -q --workspace
 
-echo "==> cargo clippy --all-targets -- -D warnings"
-cargo clippy --all-targets -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo bench --no-run (benches must compile)"
-cargo bench --no-run --quiet
+echo "==> cargo bench --no-run --workspace (benches must compile)"
+cargo bench --no-run --workspace --quiet
 
-echo "==> cargo doc --no-deps (warnings denied)"
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
+echo "==> cargo doc --no-deps --workspace (warnings denied)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
+
+echo "==> scripts/bench.sh --check (deterministic artifacts reproduce)"
+scripts/bench.sh --check
 
 echo "All checks passed."

@@ -60,6 +60,7 @@ pub mod prelude {
     pub use cloudlet_core::cache::{CacheMode, PocketCache};
     pub use cloudlet_core::contentgen::{AdmissionPolicy, CacheContents};
     pub use cloudlet_core::corpus::UniverseCorpus;
+    pub use cloudlet_core::frontend::{Frontend, FrontendConfig};
     pub use cloudlet_core::ranking::RankingPolicy;
     pub use cloudlet_core::service::{
         CloudletError, CloudletService, ServeKind, ServeOutcome, ServeStats,
@@ -77,7 +78,7 @@ pub mod prelude {
     pub use pocketsearch::config::PocketSearchConfig;
     pub use pocketsearch::engine::{Catalog, PocketSearch};
     pub use pocketsearch::experiment::{run_hit_rate_study, HitRateConfig};
-    pub use pocketsearch::fleet::{FleetEvent, FleetReport, SearchShard, ServeRouter};
+    pub use pocketsearch::fleet::{search_frontend, SearchShard};
     pub use pocketsearch::replay::{replay_population, replay_user, ClassSummary};
     pub use pocketweb::{PocketWeb, RefreshPolicy, WebService, WebWorld, WorldConfig};
     pub use querylog::generator::{GeneratorConfig, LogGenerator};

@@ -1,7 +1,9 @@
 //! Property tests for the sharded serving layer: for any event mix and
-//! any shard count, [`ServeRouter`] must reproduce exactly the hit/miss
-//! outcomes of a sequential `PocketSearch::serve` loop, route every
-//! event to its modulo-owning shard, and leave the index untouched.
+//! any shard count, a search front-end in its `pr3_baseline`
+//! configuration ([`search_frontend`]) must reproduce exactly the
+//! hit/miss outcomes of a sequential `PocketSearch::serve` loop, route
+//! every request to its modulo-owning shard, and leave the index
+//! untouched.
 
 use std::sync::OnceLock;
 
@@ -9,9 +11,11 @@ use proptest::prelude::*;
 
 use pocket_cloudlets::core::contentgen::{AdmissionPolicy, CacheContents};
 use pocket_cloudlets::core::corpus::UniverseCorpus;
+use pocket_cloudlets::core::frontend::{FrontendConfig, ServeRequest};
+use pocket_cloudlets::mobsim::time::SimInstant;
 use pocket_cloudlets::pocketsearch::config::PocketSearchConfig;
 use pocket_cloudlets::pocketsearch::engine::{Catalog, PocketSearch};
-use pocket_cloudlets::pocketsearch::fleet::{FleetEvent, ServeRouter};
+use pocket_cloudlets::pocketsearch::fleet::search_frontend;
 use pocket_cloudlets::querylog::generator::{GeneratorConfig, LogGenerator};
 use pocket_cloudlets::querylog::triplets::TripletTable;
 
@@ -37,20 +41,18 @@ fn shared_engine() -> &'static (PocketSearch, Vec<u64>) {
     })
 }
 
-/// Turns the raw generated stream into events: selectors with
+/// Turns the raw generated stream into search requests: selectors with
 /// `cached = true` pick a query that is in the community cache,
 /// the rest use the raw hash (a miss with overwhelming probability).
-fn materialize(raw: &[(u64, u64, bool)], cached: &[u64]) -> Vec<FleetEvent> {
+fn materialize(raw: &[(u64, u64, bool)], cached: &[u64]) -> Vec<ServeRequest> {
     raw.iter()
         .map(|&(user, selector, from_cache)| {
-            FleetEvent::search(
-                user,
-                if from_cache {
-                    cached[(selector % cached.len() as u64) as usize]
-                } else {
-                    selector | 1 << 63
-                },
-            )
+            let key = if from_cache {
+                cached[(selector % cached.len() as u64) as usize]
+            } else {
+                selector | 1 << 63
+            };
+            ServeRequest::new(user, 0, key, SimInstant::ZERO)
         })
         .collect()
 }
@@ -72,11 +74,11 @@ proptest! {
             .map(|e| (e.key, sequential.serve(e.key).hit))
             .collect();
 
-        let router = ServeRouter::from_engine(engine, shards);
-        let report = router.serve_batch(&events).expect("fleet batch");
+        let (_, frontend) = search_frontend(engine, shards, FrontendConfig::pr3_baseline());
+        let report = frontend.serve_batch(&events).expect("fleet batch").report;
         let mut observed: Vec<(u64, bool)> = events
             .iter()
-            .map(|e| (e.key, router.serve_one(*e).expect("serve").hit()))
+            .map(|e| (e.key, frontend.serve_one(*e).expect("serve").hit()))
             .collect();
 
         expected.sort_unstable();
@@ -105,10 +107,13 @@ proptest! {
             lanes[(event.key % shards as u64) as usize] += 1;
         }
 
-        let router = ServeRouter::from_engine(engine, shards);
-        let report = router.serve_batch(&events).expect("fleet batch");
-        let routed: Vec<u64> = report.shards.iter().map(|s| s.events).collect();
+        let (_, frontend) = search_frontend(engine, shards, FrontendConfig::pr3_baseline());
+        let batch = frontend.serve_batch(&events).expect("fleet batch");
+        let routed: Vec<u64> = batch.report.lanes.iter().map(|l| l.events).collect();
         prop_assert_eq!(&routed, &lanes);
+        for (event, served) in events.iter().zip(&batch.served) {
+            prop_assert_eq!(served.lane, (event.key % shards as u64) as usize);
+        }
     }
 
     /// Serving is read-only: after any batch the sharded index holds
@@ -121,10 +126,9 @@ proptest! {
         let (engine, cached) = shared_engine();
         let events = materialize(&raw, cached);
 
-        let router = ServeRouter::from_engine(engine, shards);
-        let table = router.table().expect("search routers carry a table");
+        let (table, frontend) = search_frontend(engine, shards, FrontendConfig::pr3_baseline());
         let before = table.pair_counts();
-        router.serve_batch(&events).expect("fleet batch");
+        frontend.serve_batch(&events).expect("fleet batch");
         prop_assert_eq!(table.pair_counts(), before);
         prop_assert_eq!(table.pair_count(), engine.cache().table().pair_count());
     }

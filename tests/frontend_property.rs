@@ -3,7 +3,8 @@
 //! mix, any shard count, and any queue depth, every user gets exactly
 //! the hit/miss a sequential `PocketSearch::serve` loop would give
 //! them — while backpressure sheds deterministically and the PR 3
-//! baseline configuration reproduces the router's simulated makespan.
+//! baseline configuration reproduces a per-lane serial drain's
+//! simulated makespan.
 
 use std::sync::OnceLock;
 
@@ -12,11 +13,11 @@ use proptest::prelude::*;
 use pocket_cloudlets::core::contentgen::{AdmissionPolicy, CacheContents};
 use pocket_cloudlets::core::corpus::UniverseCorpus;
 use pocket_cloudlets::core::frontend::{FrontendConfig, HitPathMode, OverflowPolicy, ServeRequest};
-use pocket_cloudlets::core::service::{CloudletError, ServeKind};
-use pocket_cloudlets::mobsim::time::SimInstant;
+use pocket_cloudlets::core::service::{self, CloudletError, CloudletService, ServeKind};
+use pocket_cloudlets::mobsim::time::{SimDuration, SimInstant};
 use pocket_cloudlets::pocketsearch::config::PocketSearchConfig;
 use pocket_cloudlets::pocketsearch::engine::{Catalog, PocketSearch};
-use pocket_cloudlets::pocketsearch::fleet::{search_frontend, FleetEvent, ServeRouter};
+use pocket_cloudlets::pocketsearch::fleet::{search_frontend, SearchShard};
 use pocket_cloudlets::querylog::generator::{GeneratorConfig, LogGenerator};
 use pocket_cloudlets::querylog::triplets::TripletTable;
 
@@ -42,22 +43,20 @@ fn shared_engine() -> &'static (PocketSearch, Vec<u64>) {
     })
 }
 
-/// Turns the raw generated stream into events: selectors with
+/// Turns the raw generated stream into search requests: selectors with
 /// `cached = true` pick a query that is in the community cache, the
 /// rest use the raw hash (a miss with overwhelming probability). Low
 /// selector entropy (`% 8` on cached picks) makes duplicate keys — the
 /// coalescing fodder — common by construction.
-fn materialize(raw: &[(u64, u64, bool)], cached: &[u64]) -> Vec<FleetEvent> {
+fn materialize(raw: &[(u64, u64, bool)], cached: &[u64]) -> Vec<ServeRequest> {
     raw.iter()
         .map(|&(user, selector, from_cache)| {
-            FleetEvent::search(
-                user,
-                if from_cache {
-                    cached[(selector % 8 % cached.len() as u64) as usize]
-                } else {
-                    (selector % 8) | 1 << 63
-                },
-            )
+            let key = if from_cache {
+                cached[(selector % 8 % cached.len() as u64) as usize]
+            } else {
+                (selector % 8) | 1 << 63
+            };
+            ServeRequest::new(user, 0, key, SimInstant::ZERO)
         })
         .collect()
 }
@@ -91,8 +90,7 @@ proptest! {
             .work_stealing(true)
             .build();
         let (_, frontend) = search_frontend(engine, shards, config);
-        let requests: Vec<ServeRequest> = events.iter().map(|&e| e.into()).collect();
-        let batch = frontend.serve_batch(&requests).expect("frontend batch");
+        let batch = frontend.serve_batch(&events).expect("frontend batch");
 
         let observed: Vec<(u64, u64, bool)> = events
             .iter()
@@ -124,8 +122,7 @@ proptest! {
         shards in 1usize..=8,
     ) {
         let (engine, cached) = shared_engine();
-        let events = materialize(&raw, cached);
-        let requests: Vec<ServeRequest> = events.iter().map(|&e| e.into()).collect();
+        let requests = materialize(&raw, cached);
 
         let optimized = FrontendConfig::builder()
             .work_stealing(true)
@@ -150,10 +147,7 @@ proptest! {
         depth in 1usize..=4,
     ) {
         let (engine, cached) = shared_engine();
-        let mut requests: Vec<ServeRequest> = materialize(&raw, cached)
-            .into_iter()
-            .map(ServeRequest::from)
-            .collect();
+        let mut requests = materialize(&raw, cached);
         // A straggler long after every queue has drained (simulated
         // hours later) must always be admitted.
         let late_at = SimInstant::from_micros(u64::MAX / 2);
@@ -185,39 +179,52 @@ proptest! {
     }
 }
 
-/// The PR 3 baseline configuration reproduces `ServeRouter` exactly:
-/// same hits, same misses, and the same simulated makespan, for several
-/// shard counts.
+/// The `pr3_baseline` configuration reproduces a per-lane serial drain
+/// exactly: same hits, same misses, and the same simulated makespan,
+/// for several shard counts. The reference is an independent oracle:
+/// serve each request on lane `key % S` through
+/// [`CloudletService::serve`], sum each lane's simulated service time,
+/// and take the busiest lane.
 #[test]
 fn baseline_frontend_reproduces_router_makespan() {
     let (engine, cached) = shared_engine();
-    let events: Vec<FleetEvent> = (0..64)
+    let requests: Vec<ServeRequest> = (0..64)
         .map(|i| {
-            FleetEvent::search(
-                i % 7,
-                if i % 3 == 0 {
-                    (i * 31) | 1 << 63
-                } else {
-                    cached[(i * 13) as usize % cached.len()]
-                },
-            )
+            let key = if i % 3 == 0 {
+                (i * 31) | 1 << 63
+            } else {
+                cached[(i * 13) as usize % cached.len()]
+            };
+            ServeRequest::new(i % 7, 0, key, SimInstant::ZERO)
         })
         .collect();
-    let requests: Vec<ServeRequest> = events.iter().map(|&e| e.into()).collect();
 
     for shards in [1usize, 4, 9] {
-        let router = ServeRouter::from_engine(engine, shards);
-        let router_report = router.serve_batch(&events).expect("router batch");
+        let (_, mut lanes) = SearchShard::fleet_of(engine, shards);
+        let mut busy = vec![SimDuration::ZERO; shards];
+        let (mut hits, mut misses) = (0u64, 0u64);
+        for request in &requests {
+            let lane = (request.key % shards as u64) as usize;
+            let outcome = lanes[lane]
+                .serve(&service::ServeRequest::new(request.key, request.at))
+                .expect("search serve");
+            busy[lane] += outcome.service;
+            match outcome.kind {
+                ServeKind::Hit => hits += 1,
+                ServeKind::Miss => misses += 1,
+                other => panic!("search never answers {other:?}"),
+            }
+        }
+        let makespan = busy.iter().copied().max().expect("at least one lane");
 
         let (_, frontend) = search_frontend(engine, shards, FrontendConfig::pr3_baseline());
         let batch = frontend.serve_batch(&requests).expect("frontend batch");
 
-        assert_eq!(batch.report.hits(), router_report.hits());
-        assert_eq!(batch.report.misses(), router_report.misses());
+        assert_eq!(batch.report.hits(), hits);
+        assert_eq!(batch.report.misses(), misses);
         assert_eq!(
-            batch.report.makespan,
-            router_report.makespan(),
-            "baseline front-end must reproduce the router's makespan at {shards} shards"
+            batch.report.makespan, makespan,
+            "baseline front-end must reproduce the serial drain's makespan at {shards} shards"
         );
     }
 }

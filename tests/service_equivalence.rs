@@ -5,9 +5,9 @@
 //! checked property-style (256 cases per cloudlet).
 //!
 //! The file ends with the heterogeneous acceptance test: one
-//! [`ServeRouter`] mixing search, web, and maps lanes across eight
-//! worker threads, whose aggregate hit count equals the sum of the
-//! three legacy loops run sequentially.
+//! [`Frontend`] mixing search, web, and maps lanes in three service
+//! groups, whose aggregate hit count equals the sum of the three legacy
+//! loops run sequentially.
 
 use std::sync::OnceLock;
 
@@ -15,6 +15,7 @@ use proptest::prelude::*;
 
 use pocket_cloudlets::core::contentgen::{AdmissionPolicy, CacheContents};
 use pocket_cloudlets::core::corpus::UniverseCorpus;
+use pocket_cloudlets::core::frontend::{self, Frontend, FrontendConfig};
 use pocket_cloudlets::core::service::{CloudletService, ServeOutcome, ServeRequest, ServeStats};
 use pocket_cloudlets::mobsim::time::{SimDuration, SimInstant};
 use pocket_cloudlets::pocketmaps::grid::TileGrid;
@@ -22,7 +23,7 @@ use pocket_cloudlets::pocketmaps::{PocketMaps, TileId};
 use pocket_cloudlets::pocketsearch::advert::{AdCloudlet, AdOutcome, AdRecord};
 use pocket_cloudlets::pocketsearch::config::PocketSearchConfig;
 use pocket_cloudlets::pocketsearch::engine::{Catalog, PocketSearch};
-use pocket_cloudlets::pocketsearch::fleet::{FleetEvent, SearchShard, ServeRouter};
+use pocket_cloudlets::pocketsearch::fleet::SearchShard;
 use pocket_cloudlets::pocketweb::world::{PageId, WebWorld};
 use pocket_cloudlets::pocketweb::{PocketWeb, RefreshPolicy, WebService, WorldConfig};
 use pocket_cloudlets::querylog::generator::{GeneratorConfig, LogGenerator};
@@ -283,11 +284,11 @@ proptest! {
     }
 }
 
-/// The tentpole acceptance test: a heterogeneous [`ServeRouter`] with
-/// six search shards, one web lane, and one maps lane — eight lanes,
-/// so [`ServeRouter::serve_batch`] drains the mixed batch on eight
-/// worker threads — whose aggregate hit count equals the sum of the
-/// three legacy serve loops run sequentially on the same workload.
+/// The heterogeneous acceptance test: one [`Frontend`] in its
+/// `pr3_baseline` configuration with six search shards, one web lane, and one
+/// maps lane in three service groups, whose aggregate hit count equals
+/// the sum of the three legacy serve loops run sequentially on the same
+/// workload.
 #[test]
 fn heterogeneous_router_matches_sum_of_legacy_loops() {
     const SEARCH: u32 = 0;
@@ -309,19 +310,34 @@ fn heterogeneous_router_matches_sum_of_legacy_loops() {
                 } else {
                     cached[(i as usize * 7) % cached.len()]
                 };
-                events.push(FleetEvent::new(i, SEARCH, key, SimInstant::ZERO));
+                events.push(frontend::ServeRequest::new(
+                    i,
+                    SEARCH,
+                    key,
+                    SimInstant::ZERO,
+                ));
             }
             1 => {
                 let page = PageId((i % world.pages().len() as u64) as u32);
                 let at = SimInstant::ZERO + SimDuration::from_secs(i * 30);
-                events.push(FleetEvent::new(i, WEB, WebService::key_of(page), at));
+                events.push(frontend::ServeRequest::new(
+                    i,
+                    WEB,
+                    WebService::key_of(page),
+                    at,
+                ));
             }
             _ => {
                 let tile = TileId {
                     x: (i % 11) as i32 - 5,
                     y: (i % 7) as i32 - 3,
                 };
-                events.push(FleetEvent::new(i, MAPS, tile.to_key(), SimInstant::ZERO));
+                events.push(frontend::ServeRequest::new(
+                    i,
+                    MAPS,
+                    tile.to_key(),
+                    SimInstant::ZERO,
+                ));
             }
         }
     }
@@ -350,22 +366,25 @@ fn heterogeneous_router_matches_sum_of_legacy_loops() {
 
     // The unified fleet: 6 search shards + 1 web + 1 maps = 8 lanes.
     let (_table, shards) = SearchShard::fleet_of(engine, 6);
-    let search_lanes: Vec<Box<dyn CloudletService + Send>> = shards
+    let search_lanes: Vec<Box<dyn CloudletService + Send + Sync>> = shards
         .into_iter()
-        .map(|s| Box::new(s) as Box<dyn CloudletService + Send>)
+        .map(|s| Box::new(s) as Box<dyn CloudletService + Send + Sync>)
         .collect();
-    let router = ServeRouter::from_services(vec![
-        search_lanes,
-        vec![Box::new(WebService::new(
-            world.clone(),
-            PocketWeb::new(world, RefreshPolicy::OvernightOnly),
-        ))],
-        vec![Box::new(PocketMaps::new(grid, 10_000_000))],
-    ]);
-    assert_eq!(router.lane_count(), 8, "the batch drains on 8 threads");
-    assert_eq!(router.group_count(), 3);
+    let fleet = Frontend::new(
+        vec![
+            search_lanes,
+            vec![Box::new(WebService::new(
+                world.clone(),
+                PocketWeb::new(world, RefreshPolicy::OvernightOnly),
+            ))],
+            vec![Box::new(PocketMaps::new(grid, 10_000_000))],
+        ],
+        FrontendConfig::pr3_baseline(),
+    );
+    assert_eq!(fleet.lane_count(), 8);
+    assert_eq!(fleet.group_count(), 3);
 
-    let report = router.serve_batch(&events).expect("mixed batch");
+    let report = fleet.serve_batch(&events).expect("mixed batch").report;
 
     let legacy_hits = search_hits + web_hits + maps_hits;
     assert_eq!(report.events(), events.len() as u64);
@@ -386,7 +405,7 @@ fn heterogeneous_router_matches_sum_of_legacy_loops() {
     );
 
     // Per-group sanity: lane names partition as declared.
-    assert_eq!(router.lane_name(0), "search");
-    assert_eq!(router.lane_name(6), "web");
-    assert_eq!(router.lane_name(7), "maps");
+    assert_eq!(fleet.lane_name(0), "search");
+    assert_eq!(fleet.lane_name(6), "web");
+    assert_eq!(fleet.lane_name(7), "maps");
 }
