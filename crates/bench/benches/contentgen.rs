@@ -1,41 +1,34 @@
-//! Criterion benches for the server-side pipeline: log generation, triplet
-//! extraction (Table 3), cache content generation (§5.1), and the §5.4
-//! update merge — everything the nightly update server runs.
+//! Wall-clock benches for the server-side pipeline: log generation,
+//! triplet extraction (Table 3), cache content generation (§5.1), and
+//! the §5.4 update merge — everything the nightly update server runs.
 
 use cloudlet_core::contentgen::{AdmissionPolicy, CacheContents};
 use cloudlet_core::corpus::UniverseCorpus;
 use cloudlet_core::ranking::RankingPolicy;
 use cloudlet_core::update::{UpdateServer, UploadPayload};
-use criterion::{criterion_group, criterion_main, Criterion};
 use pocket_bench::test_scale_study_inputs;
+use pocket_bench::wallclock::Bench;
 use pocketsearch::config::PocketSearchConfig;
 use pocketsearch::engine::PocketSearch;
 use querylog::generator::{GeneratorConfig, LogGenerator};
 use querylog::triplets::TripletTable;
 use std::hint::black_box;
 
-fn bench_generation(c: &mut Criterion) {
-    c.bench_function("pipeline/generate_month_test_scale", |b| {
-        let mut seed = 0;
-        b.iter(|| {
-            seed += 1;
-            let mut g = LogGenerator::new(GeneratorConfig::test_scale(), seed);
-            black_box(g.generate_month())
-        })
+fn main() {
+    let bench = Bench::from_args();
+    let mut seed = 0;
+    bench.run("pipeline/generate_month_test_scale", || {
+        seed += 1;
+        let mut g = LogGenerator::new(GeneratorConfig::test_scale(), seed);
+        black_box(g.generate_month())
     });
-}
 
-fn bench_triplets(c: &mut Criterion) {
     let inputs = test_scale_study_inputs(2);
-    c.bench_function("pipeline/triplet_extraction", |b| {
-        b.iter(|| black_box(TripletTable::from_log(black_box(&inputs.build_month))))
+    bench.run("pipeline/triplet_extraction", || {
+        black_box(TripletTable::from_log(black_box(&inputs.build_month)))
     });
-}
 
-fn bench_contentgen(c: &mut Criterion) {
-    let inputs = test_scale_study_inputs(2);
     let corpus = UniverseCorpus::new(&inputs.universe);
-    let mut group = c.benchmark_group("pipeline/content_generation");
     for (name, policy) in [
         ("share_55", AdmissionPolicy::CumulativeShare { share: 0.55 }),
         (
@@ -44,15 +37,11 @@ fn bench_contentgen(c: &mut Criterion) {
         ),
         ("saturation", AdmissionPolicy::Saturation { v_th: 1e-4 }),
     ] {
-        group.bench_function(name, |b| {
-            b.iter(|| black_box(CacheContents::generate(&inputs.triplets, &corpus, policy)))
+        bench.run(&format!("pipeline/content_generation/{name}"), || {
+            black_box(CacheContents::generate(&inputs.triplets, &corpus, policy))
         });
     }
-    group.finish();
-}
 
-fn bench_update_merge(c: &mut Criterion) {
-    let inputs = test_scale_study_inputs(2);
     let engine = PocketSearch::build(
         &inputs.contents,
         &inputs.catalog,
@@ -60,16 +49,7 @@ fn bench_update_merge(c: &mut Criterion) {
     );
     let server = UpdateServer::from_contents(&inputs.contents, RankingPolicy::default());
     let upload = UploadPayload::from_cache(engine.cache());
-    c.bench_function("pipeline/update_merge", |b| {
-        b.iter(|| black_box(server.build_update(black_box(&upload)).unwrap()))
+    bench.run("pipeline/update_merge", || {
+        black_box(server.build_update(black_box(&upload)).unwrap())
     });
 }
-
-criterion_group!(
-    benches,
-    bench_generation,
-    bench_triplets,
-    bench_contentgen,
-    bench_update_merge
-);
-criterion_main!(benches);

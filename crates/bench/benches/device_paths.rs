@@ -1,44 +1,51 @@
-//! Criterion benches for the device model's service paths (the machinery
-//! behind Figures 15/16 and Tables 4/5) and an ablation comparing the
-//! PocketSearch admission policy with the LRU/LFU/browser baselines on
-//! identical streams.
+//! Wall-clock benches for the device model's service paths (the
+//! machinery behind Figures 15/16 and Tables 4/5) and an ablation
+//! comparing the PocketSearch admission policy with the LRU/LFU/browser
+//! baselines on identical streams.
 
 use baselines::{
     BrowserSubstringCache, CacheRequest, LfuQueryCache, LruQueryCache, QueryCache, ServerOnly,
 };
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use mobsim::device::Device;
 use mobsim::radio::RadioKind;
 use mobsim::time::SimDuration;
 use pocket_bench::test_scale_study_inputs;
+use pocket_bench::wallclock::Bench;
 use std::hint::black_box;
 
-fn bench_device_paths(c: &mut Criterion) {
-    c.bench_function("device/serve_cache_hit", |b| {
-        b.iter_batched(
-            Device::with_defaults,
-            |mut d| black_box(d.serve_cache_hit(SimDuration::from_millis(10))),
-            BatchSize::SmallInput,
-        )
-    });
-    let mut group = c.benchmark_group("device/serve_via_radio");
-    for kind in RadioKind::ALL {
-        group.bench_function(kind.to_string(), |b| {
-            b.iter_batched(
-                Device::with_defaults,
-                |mut d| black_box(d.serve_via_radio(kind)),
-                BatchSize::SmallInput,
-            )
-        });
+fn run(cache: &mut dyn QueryCache, requests: &[(u64, u64, String, String)]) -> u64 {
+    let mut hits = 0;
+    for (qh, rh, text, url) in requests {
+        let req = CacheRequest {
+            query_hash: *qh,
+            result_hash: *rh,
+            query_text: text,
+            url,
+        };
+        if cache.lookup(&req) {
+            hits += 1;
+        }
+        cache.record_click(&req);
     }
-    group.finish();
+    hits
 }
 
-/// Hit-rate ablation across baseline caches, reported via bench so the
-/// numbers appear next to throughput in the same run.
-fn bench_baseline_replay(c: &mut Criterion) {
+fn main() {
+    let bench = Bench::from_args();
+    bench.run_with_setup("device/serve_cache_hit", Device::with_defaults, |mut d| {
+        black_box(d.serve_cache_hit(SimDuration::from_millis(10)))
+    });
+    for kind in RadioKind::ALL {
+        bench.run_with_setup(
+            &format!("device/serve_via_radio/{kind}"),
+            Device::with_defaults,
+            |mut d| black_box(d.serve_via_radio(kind)),
+        );
+    }
+
+    // Hit-rate ablation across baseline caches, on one flat request
+    // stream across the population.
     let inputs = test_scale_study_inputs(31);
-    // One flat request stream across the population.
     let requests: Vec<(u64, u64, String, String)> = inputs
         .replay_month
         .iter()
@@ -52,56 +59,24 @@ fn bench_baseline_replay(c: &mut Criterion) {
             )
         })
         .collect();
-
-    fn run(cache: &mut dyn QueryCache, requests: &[(u64, u64, String, String)]) -> u64 {
-        let mut hits = 0;
-        for (qh, rh, text, url) in requests {
-            let req = CacheRequest {
-                query_hash: *qh,
-                result_hash: *rh,
-                query_text: text,
-                url,
-            };
-            if cache.lookup(&req) {
-                hits += 1;
-            }
-            cache.record_click(&req);
-        }
-        hits
-    }
-
-    let mut group = c.benchmark_group("baselines/replay_10k");
-    group.sample_size(10);
-    group.bench_function("lru_1000", |b| {
-        b.iter_batched(
-            || LruQueryCache::new(1_000),
-            |mut cache| black_box(run(&mut cache, &requests)),
-            BatchSize::SmallInput,
-        )
-    });
-    group.bench_function("lfu_1000", |b| {
-        b.iter_batched(
-            || LfuQueryCache::new(1_000),
-            |mut cache| black_box(run(&mut cache, &requests)),
-            BatchSize::SmallInput,
-        )
-    });
-    group.bench_function("browser_substring", |b| {
-        b.iter_batched(
-            BrowserSubstringCache::new,
-            |mut cache| black_box(run(&mut cache, &requests)),
-            BatchSize::SmallInput,
-        )
-    });
-    group.bench_function("server_only", |b| {
-        b.iter_batched(
-            || ServerOnly,
-            |mut cache| black_box(run(&mut cache, &requests)),
-            BatchSize::SmallInput,
-        )
-    });
-    group.finish();
+    bench.run_with_setup(
+        "baselines/replay_10k/lru_1000",
+        || LruQueryCache::new(1_000),
+        |mut cache| black_box(run(&mut cache, &requests)),
+    );
+    bench.run_with_setup(
+        "baselines/replay_10k/lfu_1000",
+        || LfuQueryCache::new(1_000),
+        |mut cache| black_box(run(&mut cache, &requests)),
+    );
+    bench.run_with_setup(
+        "baselines/replay_10k/browser_substring",
+        BrowserSubstringCache::new,
+        |mut cache| black_box(run(&mut cache, &requests)),
+    );
+    bench.run_with_setup(
+        "baselines/replay_10k/server_only",
+        || ServerOnly,
+        |mut cache| black_box(run(&mut cache, &requests)),
+    );
 }
-
-criterion_group!(benches, bench_device_paths, bench_baseline_replay);
-criterion_main!(benches);

@@ -1,10 +1,10 @@
-//! Criterion benches for the flash result database: retrieval across the
-//! Figure 12 file-count sweep, insertion (the personalization path), and
-//! full builds (the nightly update path).
+//! Wall-clock benches for the flash result database: retrieval across
+//! the Figure 12 file-count sweep, insertion (the personalization path),
+//! full builds (the nightly update path), and the record codecs.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use flashdb::{DbConfig, ResultDb, ResultRecord};
 use mobsim::flash::{FlashModel, FlashStore};
+use pocket_bench::wallclock::Bench;
 use std::hint::black_box;
 
 fn record(hash: u64) -> ResultRecord {
@@ -26,65 +26,41 @@ fn built(n_records: u64, n_files: usize) -> (ResultDb, FlashStore) {
     (db, flash)
 }
 
-fn bench_get_sweep(c: &mut Criterion) {
-    let mut group = c.benchmark_group("flashdb/get_two_results");
+fn main() {
+    let bench = Bench::from_args();
     for n_files in [1usize, 8, 32, 256] {
         let (db, flash) = built(2_500, n_files);
-        group.bench_function(format!("{n_files}_files"), |b| {
-            let mut h = 0u64;
-            b.iter(|| {
-                h = (h + 7) % 2_500;
-                black_box(db.get_many([h, (h + 1_200) % 2_500], &flash).unwrap())
-            })
+        let mut h = 0u64;
+        bench.run(&format!("flashdb/get_two_results/{n_files}_files"), || {
+            h = (h + 7) % 2_500;
+            black_box(db.get_many([h, (h + 1_200) % 2_500], &flash).unwrap())
         });
     }
-    group.finish();
-}
 
-fn bench_insert(c: &mut Criterion) {
-    c.bench_function("flashdb/insert_after_miss", |b| {
-        let (db, flash) = built(2_500, 32);
-        let mut next = 10_000u64;
-        b.iter_batched(
-            || (db.clone(), flash.clone()),
-            |(mut db, mut flash)| {
-                next += 1;
-                db.insert(record(next), &mut flash).unwrap()
-            },
-            BatchSize::SmallInput,
-        )
-    });
-}
+    let (db, flash) = built(2_500, 32);
+    let mut next = 10_000u64;
+    bench.run_with_setup(
+        "flashdb/insert_after_miss",
+        || (db.clone(), flash.clone()),
+        |(mut db, mut flash)| {
+            next += 1;
+            db.insert(record(next), &mut flash).unwrap()
+        },
+    );
 
-fn bench_build(c: &mut Criterion) {
-    c.bench_function("flashdb/build_2500_records", |b| {
-        b.iter_batched(
-            || (0..2_500u64).map(record).collect::<Vec<_>>(),
-            |records| {
-                let mut flash = FlashStore::new(FlashModel::default());
-                ResultDb::build(records, DbConfig::default(), &mut flash)
-            },
-            BatchSize::SmallInput,
-        )
-    });
-}
+    bench.run_with_setup(
+        "flashdb/build_2500_records",
+        || (0..2_500u64).map(record).collect::<Vec<_>>(),
+        |records| {
+            let mut flash = FlashStore::new(FlashModel::default());
+            ResultDb::build(records, DbConfig::default(), &mut flash)
+        },
+    );
 
-fn bench_encode_decode(c: &mut Criterion) {
     let r = record(42);
     let encoded = r.encode();
-    c.bench_function("flashdb/record_encode", |b| {
-        b.iter(|| black_box(&r).encode())
-    });
-    c.bench_function("flashdb/record_decode", |b| {
-        b.iter(|| ResultRecord::decode(&mut black_box(encoded.clone())).unwrap())
+    bench.run("flashdb/record_encode", || black_box(&r).encode());
+    bench.run("flashdb/record_decode", || {
+        ResultRecord::decode(&mut black_box(encoded.clone())).unwrap()
     });
 }
-
-criterion_group!(
-    benches,
-    bench_get_sweep,
-    bench_insert,
-    bench_build,
-    bench_encode_decode
-);
-criterion_main!(benches);

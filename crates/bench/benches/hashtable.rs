@@ -1,9 +1,9 @@
-//! Criterion benches for the §5.2.1 query hash table: the lookup is on the
-//! critical path of every query (Table 4 charges it 10 µs), and the
+//! Wall-clock benches for the §5.2.1 query hash table: the lookup is on
+//! the critical path of every query (Table 4 charges it 10 µs), and the
 //! footprint sweep is the computation behind Figure 11.
 
 use cloudlet_core::hashtable::{ConflictPolicy, QueryHashTable};
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use pocket_bench::wallclock::Bench;
 use std::hint::black_box;
 
 fn populated_table(pairs: u64) -> QueryHashTable {
@@ -15,71 +15,44 @@ fn populated_table(pairs: u64) -> QueryHashTable {
     t
 }
 
-fn bench_lookup(c: &mut Criterion) {
+fn main() {
+    let bench = Bench::from_args();
     let table = populated_table(8_000);
-    c.bench_function("hashtable/lookup_hit", |b| {
-        let mut q = 0u64;
-        b.iter(|| {
-            q = (q + 1) % 4_000;
-            black_box(table.lookup(black_box(q)))
-        })
+    let mut q = 0u64;
+    bench.run("hashtable/lookup_hit", || {
+        q = (q + 1) % 4_000;
+        black_box(table.lookup(black_box(q)))
     });
-    c.bench_function("hashtable/lookup_miss", |b| {
-        b.iter(|| black_box(table.lookup(black_box(u64::MAX))))
+    bench.run("hashtable/lookup_miss", || {
+        black_box(table.lookup(black_box(u64::MAX)))
     });
-}
 
-fn bench_upsert(c: &mut Criterion) {
-    c.bench_function("hashtable/upsert_4k_pairs", |b| {
-        b.iter_batched(
-            QueryHashTable::new,
-            |mut t| {
-                for q in 0..2_000u64 {
-                    t.upsert(q, q + 1_000_000, 0.6, ConflictPolicy::Max);
-                    t.upsert(q, q + 2_000_000, 0.4, ConflictPolicy::Max);
-                }
-                t
-            },
-            BatchSize::SmallInput,
-        )
+    bench.run_with_setup("hashtable/upsert_4k_pairs", QueryHashTable::new, |mut t| {
+        for q in 0..2_000u64 {
+            t.upsert(q, q + 1_000_000, 0.6, ConflictPolicy::Max);
+            t.upsert(q, q + 2_000_000, 0.4, ConflictPolicy::Max);
+        }
+        t
     });
-}
 
-fn bench_click_update(c: &mut Criterion) {
-    let table = populated_table(8_000);
-    c.bench_function("hashtable/personalization_click", |b| {
-        b.iter_batched(
-            || table.clone(),
-            |mut t| {
-                t.update_scores(
-                    17,
-                    |rh, s, _| if rh == 1_000_017 { s + 1.0 } else { s * 0.95 },
-                );
-                t
-            },
-            BatchSize::SmallInput,
-        )
-    });
-}
+    bench.run_with_setup(
+        "hashtable/personalization_click",
+        || table.clone(),
+        |mut t| {
+            t.update_scores(
+                17,
+                |rh, s, _| if rh == 1_000_017 { s + 1.0 } else { s * 0.95 },
+            );
+            t
+        },
+    );
 
-fn bench_figure11_model(c: &mut Criterion) {
     let counts: Vec<usize> = (0..4_000)
         .map(|i| 1 + (i % 2) + usize::from(i % 10 == 0))
         .collect();
-    c.bench_function("hashtable/figure11_footprint_sweep", |b| {
-        b.iter(|| {
-            (1..=8usize)
-                .map(|k| QueryHashTable::footprint_for(black_box(&counts), k))
-                .sum::<usize>()
-        })
+    bench.run("hashtable/figure11_footprint_sweep", || {
+        (1..=8usize)
+            .map(|k| QueryHashTable::footprint_for(black_box(&counts), k))
+            .sum::<usize>()
     });
 }
-
-criterion_group!(
-    benches,
-    bench_lookup,
-    bench_upsert,
-    bench_click_update,
-    bench_figure11_model
-);
-criterion_main!(benches);

@@ -1,99 +1,35 @@
 //! The serve hot path, locked vs lock-free, on the wall clock.
 //!
-//! Two complementary views of the same contrast:
-//!
-//! * Criterion single-thread timings of `ShardedTable::lookup_locked`
-//!   (the `OrderedRwLock` read-guard baseline) vs `ShardedTable::lookup`
-//!   (the `AtomicTable` snapshot mirror) — the per-call cost with no
-//!   contention at all;
-//! * a `pocket_bench::wallclock::thread_sweep` at 1/8/32 threads —
-//!   the shape under contention, which is what the lock-free rebuild
-//!   buys. `ablations --study hotpath --out BENCH_hotpath.json` runs
-//!   the same sweep at committed scale.
-//!
-//! All numbers here are host wall-clock time and machine-dependent by
-//! design (the workspace's one R2 carve-out; see
-//! `pocket_bench::wallclock`).
+//! Single-thread timings of `ShardedTable::lookup_locked` (the
+//! `OrderedRwLock` read-guard baseline) vs `ShardedTable::lookup` (the
+//! `AtomicTable` snapshot mirror): the per-call cost with no contention
+//! at all. The shape under contention is `ablations --study hotpath`'s
+//! thread sweep, committed as `BENCH_hotpath.json`.
 
 use cloudlet_core::hashtable::{ConflictPolicy, QueryHashTable};
 use cloudlet_core::shard::ShardedTable;
-use criterion::{criterion_group, criterion_main, Criterion};
-use pocket_bench::wallclock::thread_sweep;
+use pocket_bench::wallclock::Bench;
 use std::hint::black_box;
 
-fn populated_sharded(pairs: u64, shards: usize) -> ShardedTable {
+fn main() {
+    let bench = Bench::from_args();
     let mut t = QueryHashTable::new();
-    for q in 0..pairs / 2 {
+    for q in 0..4_000u64 {
         t.upsert(q, q + 1_000_000, 0.6, ConflictPolicy::Max);
         t.upsert(q, q + 2_000_000, 0.4, ConflictPolicy::Max);
     }
-    ShardedTable::from_table(&t, shards)
-}
+    let sharded = ShardedTable::from_table(&t, 8);
 
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-fn bench_single_thread(c: &mut Criterion) {
-    let sharded = populated_sharded(8_000, 8);
-    c.bench_function("hotpath/locked_lookup_hit", |b| {
-        let mut q = 0u64;
-        b.iter(|| {
-            q = (q + 1) % 4_000;
-            black_box(sharded.lookup_locked(black_box(q)))
-        })
+    let mut q = 0u64;
+    bench.run("hotpath/locked_lookup_hit", || {
+        q = (q + 1) % 4_000;
+        black_box(sharded.lookup_locked(black_box(q)))
     });
-    c.bench_function("hotpath/lockfree_lookup_hit", |b| {
-        let mut q = 0u64;
-        b.iter(|| {
-            q = (q + 1) % 4_000;
-            black_box(sharded.lookup(black_box(q)))
-        })
+    bench.run("hotpath/lockfree_lookup_hit", || {
+        q = (q + 1) % 4_000;
+        black_box(sharded.lookup(black_box(q)))
     });
-    c.bench_function("hotpath/lockfree_lookup_miss", |b| {
-        b.iter(|| black_box(sharded.lookup(black_box(u64::MAX))))
+    bench.run("hotpath/lockfree_lookup_miss", || {
+        black_box(sharded.lookup(black_box(u64::MAX)))
     });
 }
-
-fn bench_thread_sweep(c: &mut Criterion) {
-    // Criterion times one whole sweep repetition so the bench registers
-    // in the harness; the printed table below is the readable output.
-    let sharded = populated_sharded(8_000, 8);
-    c.bench_function("hotpath/sweep_8_threads_lockfree", |b| {
-        b.iter(|| {
-            thread_sweep(8, 2_000, 1, |t, i| {
-                let key = mix64(((t as u64) << 40) ^ i) % 4_000;
-                black_box(sharded.lookup(black_box(key)));
-            })
-        })
-    });
-
-    println!("\nwall-clock thread sweep (locked vs lock-free, ns/lookup):");
-    for threads in [1usize, 8, 32] {
-        let ops = (64_000 / threads as u64).max(1);
-        let locked = thread_sweep(threads, ops, 3, |t, i| {
-            let key = mix64(((t as u64) << 40) ^ i) % 4_000;
-            black_box(sharded.lookup_locked(black_box(key)));
-        });
-        let lockfree = thread_sweep(threads, ops, 3, |t, i| {
-            let key = mix64(((t as u64) << 40) ^ i) % 4_000;
-            black_box(sharded.lookup(black_box(key)));
-        });
-        println!(
-            "  {:>2} threads: locked {:>8.1} ns/op ({:>10.0} qps)  lock-free {:>8.1} ns/op \
-             ({:>10.0} qps)  speedup {:.2}x",
-            threads,
-            locked.ns_per_op,
-            locked.qps,
-            lockfree.ns_per_op,
-            lockfree.qps,
-            locked.ns_per_op / lockfree.ns_per_op
-        );
-    }
-}
-
-criterion_group!(benches, bench_single_thread, bench_thread_sweep);
-criterion_main!(benches);

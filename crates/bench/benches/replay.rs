@@ -1,20 +1,22 @@
-//! Criterion benches for the §6.2 trace-replay engine: per-user replay
+//! Wall-clock benches for the §6.2 trace-replay engine: per-user replay
 //! throughput (the inner loop of Figures 17–19) and the serve paths.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use pocket_bench::test_scale_study_inputs;
+use pocket_bench::wallclock::Bench;
 use pocketsearch::config::PocketSearchConfig;
 use pocketsearch::engine::PocketSearch;
 use pocketsearch::replay::replay_user;
 use std::hint::black_box;
 
-fn bench_replay_user(c: &mut Criterion) {
+fn main() {
+    let bench = Bench::from_args();
     let inputs = test_scale_study_inputs(9);
     let engine = PocketSearch::build(
         &inputs.contents,
         &inputs.catalog,
         PocketSearchConfig::default(),
     );
+
     // A medium-volume stream.
     let stream = inputs
         .replay_month
@@ -23,51 +25,21 @@ fn bench_replay_user(c: &mut Criterion) {
         .map(|u| inputs.replay_month.user_stream(u))
         .find(|s| (40..140).contains(&s.len()))
         .expect("population has a medium user");
-    c.bench_function("replay/one_medium_user_month", |b| {
-        b.iter(|| black_box(replay_user(&engine, &inputs.catalog, black_box(&stream))))
+    bench.run("replay/one_medium_user_month", || {
+        black_box(replay_user(&engine, &inputs.catalog, black_box(&stream)))
     });
-}
 
-fn bench_serve_paths(c: &mut Criterion) {
-    let inputs = test_scale_study_inputs(9);
-    let engine = PocketSearch::build(
-        &inputs.contents,
-        &inputs.catalog,
-        PocketSearchConfig::default(),
-    );
     let hot = inputs.contents.pairs()[0].query_hash;
-    c.bench_function("replay/serve_hit", |b| {
-        b.iter_batched(
-            || engine.clone(),
-            |mut e| black_box(e.serve(hot)),
-            BatchSize::SmallInput,
-        )
-    });
-    c.bench_function("replay/serve_miss", |b| {
-        b.iter_batched(
-            || engine.clone(),
-            |mut e| black_box(e.serve(u64::MAX)),
-            BatchSize::SmallInput,
-        )
-    });
-}
-
-fn bench_engine_clone(c: &mut Criterion) {
-    let inputs = test_scale_study_inputs(9);
-    let engine = PocketSearch::build(
-        &inputs.contents,
-        &inputs.catalog,
-        PocketSearchConfig::default(),
+    bench.run_with_setup(
+        "replay/serve_hit",
+        || engine.clone(),
+        |mut e| black_box(e.serve(hot)),
     );
-    c.bench_function("replay/engine_clone", |b| {
-        b.iter(|| black_box(engine.clone()))
-    });
-}
+    bench.run_with_setup(
+        "replay/serve_miss",
+        || engine.clone(),
+        |mut e| black_box(e.serve(u64::MAX)),
+    );
 
-criterion_group!(
-    benches,
-    bench_replay_user,
-    bench_serve_paths,
-    bench_engine_clone
-);
-criterion_main!(benches);
+    bench.run("replay/engine_clone", || black_box(engine.clone()));
+}

@@ -49,8 +49,9 @@
 //!   host-clock study; every other number here is simulated): a
 //!   hit-heavy key stream probed through the sharded index's locked
 //!   baseline (`lookup_locked`) and its lock-free `AtomicTable`
-//!   mirror (`lookup`) at 1/8/32 threads, reporting real ns/lookup
-//!   and qps. Host-dependent by design — the committed
+//!   mirror (`lookup`) at 1/8/32 threads, reporting real ns/lookup,
+//!   its spread across rounds, the host's core count, and which points
+//!   oversubscribe it. Host-dependent by design — the committed
 //!   BENCH_hotpath.json is a trajectory, not a reproducible artifact.
 //!   With `--out`, writes the sweep as JSON (`BENCH_hotpath.json`).
 //! * `population` — population-scale streaming: a full simulated day
@@ -89,7 +90,7 @@ use cloudlet_core::update::UpdateServer;
 use mobsim::flash::{AllocPolicy, WearModel, WearSummary};
 use mobsim::memory::{IndexPlacement, TieredMemory};
 use mobsim::time::{SimDuration, SimInstant};
-use pocket_bench::wallclock::{thread_sweep, SweepPoint};
+use pocket_bench::wallclock::{thread_sweep, Measurement};
 use pocket_bench::{
     fleet_workload, frontend_workload, full_scale_study_inputs, materialized_month_requests,
     peer_cell_workload, population_requests, population_world, skewed_arbiter_workload,
@@ -725,9 +726,24 @@ fn fleet_study(opts: &Options) {
         &["shards", "hit rate", "makespan (sim)", "sim qps", "speedup"],
     );
     let mut baseline_qps = None;
+    let mut invariant = None;
     for shards in [1, 2, 4, 8, 16] {
         let (_, frontend) = search_frontend(&engine, shards, FrontendConfig::pr3_baseline());
         let report = frontend.serve_batch(&requests).expect("fleet batch").report;
+        // pr3_baseline parks on a full queue and never coalesces, so
+        // every event is served exactly once.
+        assert_eq!(report.events(), n_events as u64, "{shards} shards");
+        assert_eq!(
+            (report.rejected(), report.errors(), report.coalesced()),
+            (0, 0, 0),
+            "{shards} shards"
+        );
+        let outcome = (report.hits(), report.misses(), report.total_busy());
+        assert_eq!(
+            *invariant.get_or_insert(outcome),
+            outcome,
+            "hits, misses and total busy time must not move at {shards} shards"
+        );
         let qps = report.throughput_qps();
         let base = *baseline_qps.get_or_insert(qps);
         table.row(&[
@@ -2121,29 +2137,19 @@ fn mix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// One thread-count point of the hot-path sweep: locked vs lock-free.
+/// One thread-count point of the hot-path sweep: locked vs lock-free,
+/// each summarised over its interleaved rounds (ns per lookup).
 struct HotpathRow {
     threads: usize,
-    locked: SweepPoint,
-    lockfree: SweepPoint,
+    locked: Measurement,
+    lockfree: Measurement,
+    /// More worker threads than host cores.
+    oversubscribed: bool,
 }
 
 impl HotpathRow {
     fn speedup(&self) -> f64 {
-        self.locked.ns_per_op / self.lockfree.ns_per_op
-    }
-}
-
-/// Median of several interleaved sweep rounds, folded back into one
-/// [`SweepPoint`].
-fn median_point(threads: usize, total_ops: u64, ns: &mut [f64]) -> SweepPoint {
-    ns.sort_by(f64::total_cmp);
-    let ns_per_op = ns[ns.len() / 2];
-    SweepPoint {
-        threads,
-        total_ops,
-        ns_per_op,
-        qps: 1e9 / ns_per_op,
+        self.locked.median_ns / self.lockfree.median_ns
     }
 }
 
@@ -2151,13 +2157,16 @@ fn median_point(threads: usize, total_ops: u64, ns: &mut [f64]) -> SweepPoint {
 /// `OrderedRwLock` read-guard baseline) against `ShardedTable::lookup`
 /// (the `AtomicTable` snapshot mirror) on a hit-heavy stream at
 /// 1/8/32 threads. This is the workspace's only host-clock study; the
-/// numbers are machine-dependent by design.
+/// numbers are machine-dependent by design, so the output records the
+/// host's core count, each path's spread across rounds, and which
+/// points run more threads than cores.
 fn hotpath_study(opts: &Options) {
     let (queries, ops_total, rounds) = if opts.full_scale {
         (100_000u64, 1_600_000u64, 9usize)
     } else {
         (10_000u64, 320_000u64, 5usize)
     };
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let mut table = QueryHashTable::new();
     for q in 0..queries {
         table.upsert(q, q + 1_000_000, 0.6, ConflictPolicy::Max);
@@ -2173,13 +2182,13 @@ fn hotpath_study(opts: &Options) {
     for threads in [1usize, 8, 32] {
         let ops_per_thread = (ops_total / threads as u64).max(1);
         let run_locked = || {
-            thread_sweep(threads, ops_per_thread, 1, |t, i| {
+            thread_sweep(threads, ops_per_thread, |t, i| {
                 let key = mix64(seed ^ ((t as u64) << 40) ^ i) % key_space;
                 std::hint::black_box(sharded.lookup_locked(std::hint::black_box(key)));
             })
         };
         let run_lockfree = || {
-            thread_sweep(threads, ops_per_thread, 1, |t, i| {
+            thread_sweep(threads, ops_per_thread, |t, i| {
                 let key = mix64(seed ^ ((t as u64) << 40) ^ i) % key_space;
                 std::hint::black_box(sharded.lookup(std::hint::black_box(key)));
             })
@@ -2199,43 +2208,47 @@ fn hotpath_study(opts: &Options) {
                 locked_ns.push(run_locked().ns_per_op);
             }
         }
-        let total_ops = threads as u64 * ops_per_thread;
         rows.push(HotpathRow {
             threads,
-            locked: median_point(threads, total_ops, &mut locked_ns),
-            lockfree: median_point(threads, total_ops, &mut lockfree_ns),
+            locked: Measurement::from_samples(locked_ns),
+            lockfree: Measurement::from_samples(lockfree_ns),
+            oversubscribed: threads > cores,
         });
     }
 
     let mut out = Table::new(
         format!(
-            "Ablation: wall-clock serve hot path ({} cached pairs, 8 shards, host clock — \
-             machine-dependent)",
+            "Ablation: wall-clock serve hot path ({} cached pairs, 8 shards, {cores} host cores, \
+             median [p5, p95] of {rounds} rounds, host clock — machine-dependent)",
             table.pair_count()
         ),
         &[
             "threads",
             "locked ns/lookup",
-            "locked qps",
             "lock-free ns/lookup",
-            "lock-free qps",
             "speedup",
+            "host",
         ],
     );
+    let spread = |m: &Measurement| format!("{:.1} [{:.1}, {:.1}]", m.median_ns, m.p5_ns, m.p95_ns);
     for r in &rows {
         out.row(&[
             r.threads.to_string(),
-            format!("{:.1}", r.locked.ns_per_op),
-            format!("{:.0}", r.locked.qps),
-            format!("{:.1}", r.lockfree.ns_per_op),
-            format!("{:.0}", r.lockfree.qps),
+            spread(&r.locked),
+            spread(&r.lockfree),
             format!("{:.2}x", r.speedup()),
+            if r.oversubscribed {
+                "oversubscribed"
+            } else {
+                ""
+            }
+            .to_string(),
         ]);
     }
     println!("{}", out.render());
 
     if let Some(path) = &opts.out {
-        let json = hotpath_json(opts, table.pair_count(), &rows);
+        let json = hotpath_json(opts, table.pair_count(), cores, rounds, &rows);
         std::fs::write(path, json).expect("write --out file");
         println!("wrote {path}\n");
     }
@@ -2243,31 +2256,48 @@ fn hotpath_study(opts: &Options) {
 
 /// Hand-rolled JSON for the hot-path sweep (same no-dependency schema
 /// style as [`population_json`]).
-fn hotpath_json(opts: &Options, pairs: usize, rows: &[HotpathRow]) -> String {
+fn hotpath_json(
+    opts: &Options,
+    pairs: usize,
+    cores: usize,
+    rounds: usize,
+    rows: &[HotpathRow],
+) -> String {
+    let path = |m: &Measurement| {
+        format!(
+            "{{ \"ns_per_lookup\": {:.2}, \"ns_p5\": {:.2}, \"ns_p95\": {:.2}, \"qps\": {:.0} }}",
+            m.median_ns,
+            m.p5_ns,
+            m.p95_ns,
+            1e9 / m.median_ns
+        )
+    };
     let points: Vec<String> = rows
         .iter()
         .map(|r| {
             format!(
-                "    {{\n      \"threads\": {},\n      \"locked\": {{ \"ns_per_lookup\": \
-                 {:.2}, \"qps\": {:.0} }},\n      \"lockfree\": {{ \"ns_per_lookup\": {:.2}, \
-                 \"qps\": {:.0} }},\n      \"speedup\": {:.3}\n    }}",
+                "    {{\n      \"threads\": {},\n      \"oversubscribed\": {},\n      \
+                 \"locked\": {},\n      \"lockfree\": {},\n      \"speedup\": {:.3}\n    }}",
                 r.threads,
-                r.locked.ns_per_op,
-                r.locked.qps,
-                r.lockfree.ns_per_op,
-                r.lockfree.qps,
+                r.oversubscribed,
+                path(&r.locked),
+                path(&r.lockfree),
                 r.speedup()
             )
         })
         .collect();
     format!(
         "{{\n  \"bench\": \"hotpath\",\n  \"scale\": \"{}\",\n  \"seed\": {},\n  \
-         \"cached_pairs\": {},\n  \"shards\": 8,\n  \"note\": \"wall-clock (host) time; \
-         machine-dependent trajectory, not a reproducible artifact\",\n  \"points\": \
+         \"cached_pairs\": {},\n  \"shards\": 8,\n  \"cores\": {},\n  \"rounds\": {},\n  \
+         \"note\": \"wall-clock (host) time; machine-dependent trajectory, not a reproducible \
+         artifact. ns_per_lookup is the median over rounds, ns_p5/ns_p95 its nearest-rank \
+         spread; oversubscribed points run more threads than cores\",\n  \"points\": \
          [\n{}\n  ]\n}}\n",
         if opts.full_scale { "full" } else { "test" },
         opts.seed,
         pairs,
+        cores,
+        rounds,
         points.join(",\n")
     )
 }

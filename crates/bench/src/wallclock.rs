@@ -1,4 +1,4 @@
-//! Wall-clock measurement: warmed medians and thread sweeps.
+//! Wall-clock measurement: per-call bench samples and thread sweeps.
 //!
 //! Everything else in the workspace runs on simulated time
 //! (`mobsim::time`) so results are bit-reproducible across machines —
@@ -12,33 +12,56 @@
 //!
 //! Two primitives:
 //!
-//! * [`measure`] — single-threaded: warmup, then `reps` repetitions of
-//!   `iters_per_rep` calls, reported as median/p5/p95 ns per call.
+//! * [`Bench`] — the harness every `crates/bench/benches/*` target runs
+//!   on: per named bench, a 60 ms warm-up, then one timed call per
+//!   sample until a 250 ms budget is spent, printed as one
+//!   `name  time: [p5 median p95]` line. An optional per-call setup runs
+//!   outside the timed region.
 //! * [`thread_sweep`] — `threads` workers start behind one barrier,
-//!   each performs `ops_per_thread` operations; the median wall time
-//!   across `reps` repetitions becomes ns/op and qps. Oversubscribing
-//!   the host (more threads than cores) is valid and intentional: a
-//!   lock-free path degrades gracefully under oversubscription while a
-//!   lock convoy does not, which is exactly the contrast
-//!   `ablations --study hotpath` records.
+//!   each performs `ops_per_thread` operations; the wall time of one
+//!   repetition becomes ns/op and qps. Oversubscribing the host (more
+//!   threads than cores) is valid: `ablations --study hotpath` runs it
+//!   and flags those points.
 
 use std::sync::{Barrier, Mutex, PoisonError};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-/// Single-threaded timing summary of one operation, in nanoseconds per
-/// call.
+/// Untimed calls before a bench's samples are taken.
+const WARM_UP: Duration = Duration::from_millis(60);
+/// Time budget for a bench's timed samples.
+const MEASURE: Duration = Duration::from_millis(250);
+/// Sample cap, reached first by routines much faster than a microsecond.
+const MAX_SAMPLES: usize = 100_000;
+
+/// Timing summary of one operation, in nanoseconds per call.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Measurement {
-    /// Median ns per call across repetitions.
+    /// Median ns per call across samples.
     pub median_ns: f64,
-    /// 5th-percentile ns per call (best-case repetitions).
+    /// 5th-percentile ns per call (best-case samples).
     pub p5_ns: f64,
-    /// 95th-percentile ns per call (worst-case repetitions).
+    /// 95th-percentile ns per call (worst-case samples).
     pub p95_ns: f64,
-    /// Calls timed per repetition.
-    pub iters_per_rep: u64,
-    /// Repetitions measured (after warmup).
-    pub reps: usize,
+    /// Samples summarised.
+    pub samples: usize,
+}
+
+impl Measurement {
+    /// Summarises per-call samples (ns) by nearest-rank percentiles.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `ns` is empty.
+    pub fn from_samples(mut ns: Vec<f64>) -> Self {
+        assert!(!ns.is_empty(), "need at least one sample");
+        ns.sort_by(f64::total_cmp);
+        Measurement {
+            median_ns: percentile(&ns, 50.0),
+            p5_ns: percentile(&ns, 5.0),
+            p95_ns: percentile(&ns, 95.0),
+            samples: ns.len(),
+        }
+    }
 }
 
 /// One thread-count point of a sweep.
@@ -46,122 +69,160 @@ pub struct Measurement {
 pub struct SweepPoint {
     /// Concurrent worker threads.
     pub threads: usize,
-    /// Total operations per repetition (`threads × ops_per_thread`).
+    /// Total operations (`threads × ops_per_thread`).
     pub total_ops: u64,
-    /// Median wall nanoseconds per operation.
+    /// Wall nanoseconds per operation.
     pub ns_per_op: f64,
-    /// Median operations per wall second.
+    /// Operations per wall second.
     pub qps: f64,
 }
 
-/// `p`-th percentile of an ascending-sorted slice (nearest-rank).
-fn percentile(sorted: &[f64], p: f64) -> f64 {
+/// `p`-th percentile of an ascending-sorted, non-empty slice
+/// (nearest-rank).
+pub fn percentile(sorted: &[f64], p: f64) -> f64 {
     let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
-/// Times `f` single-threaded: `warmup_iters` untimed calls, then
-/// `reps` repetitions of `iters_per_rep` timed calls each.
-///
-/// # Panics
-///
-/// Panics when `iters_per_rep` or `reps` is zero.
-pub fn measure<F: FnMut()>(
-    warmup_iters: u64,
-    iters_per_rep: u64,
-    reps: usize,
-    mut f: F,
-) -> Measurement {
-    assert!(iters_per_rep > 0, "need at least one call per repetition");
-    assert!(reps > 0, "need at least one repetition");
-    for _ in 0..warmup_iters {
-        f();
-    }
-    let mut per_call: Vec<f64> = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let start = Instant::now();
-        for _ in 0..iters_per_rep {
-            f();
+/// A bench binary's harness. The first non-flag command-line argument
+/// is a substring filter on bench names, so
+/// `cargo bench -p pocket-bench --bench throughput -- serve_one` runs
+/// only the matching benches; flags such as `--bench` are ignored.
+#[derive(Debug, Clone)]
+pub struct Bench {
+    filter: Option<String>,
+}
+
+impl Bench {
+    /// Builds the harness from the process arguments.
+    pub fn from_args() -> Self {
+        Bench {
+            filter: std::env::args().skip(1).find(|arg| !arg.starts_with('-')),
         }
-        per_call.push(start.elapsed().as_nanos() as f64 / iters_per_rep as f64);
     }
-    per_call.sort_by(f64::total_cmp);
-    Measurement {
-        median_ns: percentile(&per_call, 50.0),
-        p5_ns: percentile(&per_call, 5.0),
-        p95_ns: percentile(&per_call, 95.0),
-        iters_per_rep,
-        reps,
+
+    /// Times `routine`, one call per sample, and prints its line.
+    /// Returns `None`, without calling `routine`, when the filter
+    /// excludes `name`.
+    pub fn run<O>(&self, name: &str, mut routine: impl FnMut() -> O) -> Option<Measurement> {
+        self.run_with_setup(name, || (), |()| routine())
+    }
+
+    /// Times `routine` on a fresh input from `setup` per call; `setup`
+    /// runs outside the timed region. Prints the bench's line and
+    /// returns its summary, or returns `None` without calling either
+    /// closure when the filter excludes `name`.
+    pub fn run_with_setup<I, O>(
+        &self,
+        name: &str,
+        mut setup: impl FnMut() -> I,
+        mut routine: impl FnMut(I) -> O,
+    ) -> Option<Measurement> {
+        if !self.filter.as_deref().is_none_or(|f| name.contains(f)) {
+            return None;
+        }
+        let warm_deadline = Instant::now() + WARM_UP;
+        while Instant::now() < warm_deadline {
+            std::hint::black_box(routine(setup()));
+        }
+        let mut ns = Vec::new();
+        let deadline = Instant::now() + MEASURE;
+        loop {
+            let input = setup();
+            let start = Instant::now();
+            std::hint::black_box(routine(input));
+            ns.push(start.elapsed().as_nanos() as f64);
+            if ns.len() >= MAX_SAMPLES || Instant::now() >= deadline {
+                break;
+            }
+        }
+        let m = Measurement::from_samples(ns);
+        println!(
+            "{name:<50} time: [{} {} {}]",
+            fmt_ns(m.p5_ns),
+            fmt_ns(m.median_ns),
+            fmt_ns(m.p95_ns)
+        );
+        Some(m)
+    }
+}
+
+/// Renders nanoseconds in the largest unit that keeps the value ≥ 1.
+fn fmt_ns(ns: f64) -> String {
+    if ns < 1e3 {
+        format!("{ns:.0} ns")
+    } else if ns < 1e6 {
+        format!("{:.3} µs", ns / 1e3)
+    } else if ns < 1e9 {
+        format!("{:.3} ms", ns / 1e6)
+    } else {
+        format!("{:.3} s", ns / 1e9)
     }
 }
 
 /// Times `threads` workers each performing `ops_per_thread` calls of
-/// `op(thread_index, op_index)`, started together behind a barrier;
-/// each repetition's wall time spans the earliest worker's first op to
-/// the latest worker's last op (stamped worker-side), and the median
-/// across `reps` repetitions becomes the reported point. One extra
-/// warmup repetition runs first and is discarded.
+/// `op(thread_index, op_index)`, started together behind a barrier.
+/// The wall time spans the earliest worker's first op to the latest
+/// worker's last op (stamped worker-side). One warmup repetition runs
+/// first and is discarded.
 ///
 /// # Panics
 ///
-/// Panics when `threads`, `ops_per_thread`, or `reps` is zero.
-pub fn thread_sweep<F>(threads: usize, ops_per_thread: u64, reps: usize, op: F) -> SweepPoint
+/// Panics when `threads` or `ops_per_thread` is zero.
+pub fn thread_sweep<F>(threads: usize, ops_per_thread: u64, op: F) -> SweepPoint
 where
     F: Fn(usize, u64) + Sync,
 {
     assert!(threads > 0, "need at least one worker thread");
     assert!(ops_per_thread > 0, "need at least one op per thread");
-    assert!(reps > 0, "need at least one repetition");
-    let mut wall_ns: Vec<f64> = Vec::with_capacity(reps);
-    // One extra repetition warms caches and clocks; it is discarded.
-    for rep in 0..=reps {
-        let barrier = Barrier::new(threads);
-        // Each worker stamps its own first-op and last-op instants;
-        // the repetition's wall time is the span from the earliest
-        // start to the latest end. Timing from the spawning thread
-        // instead would be wrong on small hosts: on one core, workers
-        // released by the barrier can finish all their ops before the
-        // spawner is even rescheduled.
-        let spans: Mutex<Vec<(Instant, Instant)>> = Mutex::new(Vec::with_capacity(threads));
-        std::thread::scope(|scope| {
-            for t in 0..threads {
-                let barrier = &barrier;
-                let op = &op;
-                let spans = &spans;
-                scope.spawn(move || {
-                    barrier.wait();
-                    let start = Instant::now();
-                    for i in 0..ops_per_thread {
-                        op(t, i);
-                    }
-                    let end = Instant::now();
-                    let mut spans = spans.lock().unwrap_or_else(PoisonError::into_inner);
-                    spans.push((start, end));
-                });
-            }
-        });
-        let spans = spans.into_inner().unwrap_or_else(PoisonError::into_inner);
-        let first = spans.iter().map(|s| s.0).min();
-        let last = spans.iter().map(|s| s.1).max();
-        if rep > 0 {
-            if let (Some(first), Some(last)) = (first, last) {
-                wall_ns.push(last.duration_since(first).as_nanos() as f64);
-            }
-        }
-    }
-    wall_ns.sort_by(f64::total_cmp);
-    let median = percentile(&wall_ns, 50.0);
+    // The warmup repetition warms caches and clocks.
+    sweep_wall_ns(threads, ops_per_thread, &op);
+    let wall_ns = sweep_wall_ns(threads, ops_per_thread, &op);
     let total_ops = threads as u64 * ops_per_thread;
     SweepPoint {
         threads,
         total_ops,
-        ns_per_op: median / total_ops as f64,
-        qps: if median > 0.0 {
-            1e9 * total_ops as f64 / median
+        ns_per_op: wall_ns / total_ops as f64,
+        qps: if wall_ns > 0.0 {
+            1e9 * total_ops as f64 / wall_ns
         } else {
             f64::INFINITY
         },
     }
+}
+
+/// One repetition of [`thread_sweep`], in wall nanoseconds.
+fn sweep_wall_ns<F>(threads: usize, ops_per_thread: u64, op: &F) -> f64
+where
+    F: Fn(usize, u64) + Sync,
+{
+    let barrier = Barrier::new(threads);
+    // Each worker stamps its own first-op and last-op instants; the
+    // repetition's wall time is the span from the earliest start to the
+    // latest end. Timing from the spawning thread instead would be wrong
+    // on small hosts: on one core, workers released by the barrier can
+    // finish all their ops before the spawner is even rescheduled.
+    let spans: Mutex<Vec<(Instant, Instant)>> = Mutex::new(Vec::with_capacity(threads));
+    std::thread::scope(|scope| {
+        for t in 0..threads {
+            let barrier = &barrier;
+            let spans = &spans;
+            scope.spawn(move || {
+                barrier.wait();
+                let start = Instant::now();
+                for i in 0..ops_per_thread {
+                    op(t, i);
+                }
+                let end = Instant::now();
+                let mut spans = spans.lock().unwrap_or_else(PoisonError::into_inner);
+                spans.push((start, end));
+            });
+        }
+    });
+    let spans = spans.into_inner().unwrap_or_else(PoisonError::into_inner);
+    let first = spans.iter().map(|s| s.0).min().expect("threads > 0");
+    let last = spans.iter().map(|s| s.1).max().expect("threads > 0");
+    last.duration_since(first).as_nanos() as f64
 }
 
 #[cfg(test)]
@@ -171,22 +232,50 @@ mod tests {
     use super::*;
 
     #[test]
-    fn measure_reports_positive_sane_percentiles() {
-        let mut x = 0u64;
-        let m = measure(10, 100, 5, || {
-            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
-            std::hint::black_box(x);
-        });
-        assert!(m.median_ns >= 0.0);
-        assert!(m.p5_ns <= m.median_ns);
-        assert!(m.median_ns <= m.p95_ns);
-        assert_eq!((m.iters_per_rep, m.reps), (100, 5));
+    fn filtered_out_names_never_run() {
+        let bench = Bench {
+            filter: Some("keep".into()),
+        };
+        let (mut set_up, mut ran) = (false, false);
+        let skipped = bench.run_with_setup("skip/this", || set_up = true, |()| ran = true);
+        assert_eq!(skipped, None);
+        assert!(!set_up && !ran);
+        let kept = bench
+            .run("keep/this", || 1 + 1)
+            .expect("the filter keeps it");
+        assert!(kept.samples > 0);
+        assert!(kept.p5_ns <= kept.median_ns && kept.median_ns <= kept.p95_ns);
+    }
+
+    #[test]
+    fn setup_runs_once_per_sample_and_is_not_timed() {
+        const NAP: Duration = Duration::from_millis(2);
+        let mut made = 0u64;
+        let mut used = Vec::new();
+        let m = Bench { filter: None }
+            .run_with_setup(
+                "batched",
+                || {
+                    std::thread::sleep(NAP);
+                    made += 1;
+                    made
+                },
+                |input| used.push(input),
+            )
+            .expect("no filter");
+        // Every setup call fed exactly one routine call, in order.
+        assert_eq!(used, (1..=made).collect::<Vec<_>>());
+        assert!(m.samples as u64 <= made);
+        assert!(
+            m.median_ns < NAP.as_nanos() as f64,
+            "the setup's sleep leaked into the timed region: {m:?}"
+        );
     }
 
     #[test]
     fn thread_sweep_runs_every_op_exactly_once_per_rep() {
         let count = AtomicU64::new(0);
-        let point = thread_sweep(4, 50, 1, |_, _| {
+        let point = thread_sweep(4, 50, |_, _| {
             count.fetch_add(1, Ordering::AcqRel);
         });
         // 1 measured repetition + 1 discarded warmup repetition.

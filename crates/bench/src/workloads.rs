@@ -66,7 +66,7 @@ pub fn full_scale_study_inputs(seed: u64) -> StudyInputs {
     study_inputs(GeneratorConfig::full_scale(), seed, 0.55)
 }
 
-/// Small, fast inputs (used by tests and Criterion benches).
+/// Small, fast inputs (used by tests and the wall-clock benches).
 pub fn test_scale_study_inputs(seed: u64) -> StudyInputs {
     study_inputs(GeneratorConfig::test_scale(), seed, 0.55)
 }

@@ -16,8 +16,10 @@
 #   BENCH_peers.json    — cooperative peer cells vs the solo baseline:
 #     hit ratio, peer serves, false-positive probes, and radio vs
 #     peer-link energy across the cell-size x summary-bits x skew sweep.
-#   BENCH_hotpath.json  — wall-clock ns/lookup and qps at 1/8/32 threads,
-#     locked (OrderedRwLock) vs lock-free (AtomicTable mirror). Unlike
+#   BENCH_hotpath.json  — wall-clock ns/lookup (median and spread over
+#     rounds) and qps at 1/8/32 threads, locked (OrderedRwLock) vs
+#     lock-free (AtomicTable mirror), with the host's core count and
+#     oversubscribed points flagged. Unlike
 #     every other artifact this one is HOST-DEPENDENT (real time, the
 #     workspace's one R2 carve-out) and is committed as a trajectory,
 #     not a reproducible number. Committed at test scale: ~20k cached
