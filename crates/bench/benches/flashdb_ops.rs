@@ -1,7 +1,10 @@
 //! Wall-clock benches for the flash result database: retrieval across
 //! the Figure 12 file-count sweep, insertion (the personalization path),
-//! full builds (the nightly update path), and the record codecs.
+//! full builds and nightly patches (the §5.4 update path), the record
+//! codecs and their CRC-32.
 
+use flashdb::patch::{apply_patch, DbPatch};
+use flashdb::record::Crc32;
 use flashdb::{DbConfig, ResultDb, ResultRecord};
 use mobsim::flash::{FlashModel, FlashStore};
 use pocket_bench::wallclock::Bench;
@@ -57,10 +60,27 @@ fn main() {
         },
     );
 
+    // One night of §5.4 churn on the paper-sized database: 120 records
+    // leave, 120 arrive, and every file with dead bytes is compacted.
+    let patch = DbPatch {
+        adds: (10_000..10_120).map(record).collect(),
+        removes: (0..2_500).step_by(21).take(120).collect(),
+    };
+    bench.run_with_setup(
+        "flashdb/apply_patch_nightly",
+        || (db.clone(), flash.clone()),
+        |(mut db, mut flash)| {
+            let report = apply_patch(&mut db, &patch, &mut flash).unwrap();
+            (report, db, flash)
+        },
+    );
+
     let r = record(42);
     let encoded = r.encode();
     bench.run("flashdb/record_encode", || black_box(&r).encode());
     bench.run("flashdb/record_decode", || {
         ResultRecord::decode(&mut black_box(encoded.clone())).unwrap()
     });
+    let bytes = vec![0xA5u8; 500];
+    bench.run("flashdb/crc32_500B", || Crc32::of(black_box(&bytes)));
 }

@@ -109,7 +109,7 @@ impl Bench {
     }
 
     /// Times `routine` on a fresh input from `setup` per call; `setup`
-    /// runs outside the timed region. Prints the bench's line and
+    /// and dropping the routine's output run outside the timed region. Prints the bench's line and
     /// returns its summary, or returns `None` without calling either
     /// closure when the filter excludes `name`.
     pub fn run_with_setup<I, O>(
@@ -130,8 +130,9 @@ impl Bench {
         loop {
             let input = setup();
             let start = Instant::now();
-            std::hint::black_box(routine(input));
+            let output = std::hint::black_box(routine(input));
             ns.push(start.elapsed().as_nanos() as f64);
+            drop(output);
             if ns.len() >= MAX_SAMPLES || Instant::now() >= deadline {
                 break;
             }
@@ -269,6 +270,24 @@ mod tests {
         assert!(
             m.median_ns < NAP.as_nanos() as f64,
             "the setup's sleep leaked into the timed region: {m:?}"
+        );
+    }
+
+    #[test]
+    fn dropping_the_output_is_not_timed() {
+        const NAP: Duration = Duration::from_millis(2);
+        struct SlowDrop;
+        impl Drop for SlowDrop {
+            fn drop(&mut self) {
+                std::thread::sleep(NAP);
+            }
+        }
+        let m = Bench { filter: None }
+            .run_with_setup("teardown", || (), |()| SlowDrop)
+            .expect("no filter");
+        assert!(
+            m.median_ns < NAP.as_nanos() as f64,
+            "the output's drop leaked into the timed region: {m:?}"
         );
     }
 

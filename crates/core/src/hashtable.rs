@@ -75,15 +75,58 @@ impl Entry {
     }
 }
 
+/// One serialized result slot: `(result_hash, score, accessed)`.
+pub type SlotRecord = (u64, f32, bool);
+
+/// The live slots of one serialized entry, stored inline.
+///
+/// An entry holds at most [`SLOTS_PER_ENTRY`] results, and this type
+/// enforces it: it has room for exactly two triples and no way to add a
+/// third, so an [`EntryRecord`] with more slots cannot be built. Slots
+/// read back as a slice (`&[SlotRecord]`, via `Deref`), in order.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+pub struct EntrySlots {
+    len: u8,
+    /// The first `len` are live; the rest stay at their default, so the
+    /// derived equality compares live slots only.
+    slots: [SlotRecord; SLOTS_PER_ENTRY],
+}
+
+impl EntrySlots {
+    /// Packs the present slots, in order, skipping `None`s.
+    pub fn packed(slots: [Option<SlotRecord>; SLOTS_PER_ENTRY]) -> Self {
+        let mut packed = EntrySlots::default();
+        for slot in slots.into_iter().flatten() {
+            packed.slots[usize::from(packed.len)] = slot;
+            packed.len += 1;
+        }
+        packed
+    }
+
+    /// The live slots as a slice.
+    pub fn as_slice(&self) -> &[SlotRecord] {
+        &self.slots[..usize::from(self.len)]
+    }
+}
+
+impl std::ops::Deref for EntrySlots {
+    type Target = [SlotRecord];
+
+    fn deref(&self) -> &[SlotRecord] {
+        self.as_slice()
+    }
+}
+
 /// A serialized hash-table entry, as uploaded to the update server.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct EntryRecord {
     /// Stable hash of the query string.
     pub query_hash: u64,
     /// Chain salt (0 for the first entry of a query).
     pub salt: u32,
-    /// Up to two `(result_hash, score, accessed)` triples.
-    pub slots: Vec<(u64, f32, bool)>,
+    /// Up to two `(result_hash, score, accessed)` triples; the type
+    /// admits no more.
+    pub slots: EntrySlots,
 }
 
 /// The query → results hash table.
@@ -348,11 +391,9 @@ impl QueryHashTable {
             .map(|(&(query_hash, salt), entry)| EntryRecord {
                 query_hash,
                 salt,
-                slots: (0..SLOTS_PER_ENTRY)
-                    .filter_map(|i| {
-                        entry.slots[i].map(|s| (s.result_hash, s.score, entry.accessed(i)))
-                    })
-                    .collect(),
+                slots: EntrySlots::packed(std::array::from_fn(|i| {
+                    entry.slots[i].map(|s| (s.result_hash, s.score, entry.accessed(i)))
+                })),
             })
             .collect();
         records.sort_by_key(|r| (r.query_hash, r.salt));
@@ -363,7 +404,7 @@ impl QueryHashTable {
     pub fn from_records(records: &[EntryRecord]) -> Self {
         let mut table = QueryHashTable::new();
         for r in records {
-            for &(result_hash, score, accessed) in &r.slots {
+            for &(result_hash, score, accessed) in r.slots.iter() {
                 table.upsert(r.query_hash, result_hash, score, ConflictPolicy::Max);
                 if accessed {
                     let _ = table.mark_accessed(r.query_hash, result_hash);
@@ -648,6 +689,40 @@ mod tests {
         let rebuilt = QueryHashTable::from_records(&records);
         assert_eq!(rebuilt.to_records(), records);
         assert_eq!(rebuilt, t);
+    }
+
+    #[test]
+    fn entry_slots_pack_present_slots_in_order() {
+        let a = (10, 0.5, true);
+        let b = (11, 0.25, false);
+        assert_eq!(EntrySlots::packed([Some(a), Some(b)]).as_slice(), &[a, b]);
+        assert_eq!(EntrySlots::packed([None, Some(b)]).as_slice(), &[b]);
+        assert!(EntrySlots::packed([None, None]).is_empty());
+        // Equality looks at live slots only, however they were packed.
+        assert_eq!(
+            EntrySlots::packed([None, Some(b)]),
+            EntrySlots::packed([Some(b), None])
+        );
+        assert_ne!(
+            EntrySlots::packed([Some(a), None]),
+            EntrySlots::packed([Some(a), Some(b)])
+        );
+    }
+
+    #[test]
+    fn to_records_packs_one_and_two_slot_entries() {
+        let mut t = QueryHashTable::new();
+        t.upsert(1, 10, 0.9, ConflictPolicy::Max);
+        t.upsert(2, 20, 0.9, ConflictPolicy::Max);
+        t.upsert(2, 21, 0.8, ConflictPolicy::Max);
+        t.mark_accessed(2, 21).unwrap();
+        let records = t.to_records();
+        assert_eq!(records.len(), 2);
+        assert_eq!(records[0].slots.as_slice(), &[(10, 0.9, false)]);
+        assert_eq!(
+            records[1].slots.as_slice(),
+            &[(20, 0.9, false), (21, 0.8, true)]
+        );
     }
 
     #[test]

@@ -39,8 +39,10 @@ impl UploadPayload {
         }
     }
 
-    /// Approximate upload size on the wire. The paper bounds the exchange
-    /// at ~1.5 MB (200 KB table + 1 MB of patches).
+    /// Approximate upload size on the wire: 12 bytes per entry (query
+    /// hash and salt) plus 13 per slot (result hash, score, accessed
+    /// bit). The paper bounds the exchange at ~1.5 MB (200 KB table +
+    /// 1 MB of patches).
     pub fn wire_bytes(&self) -> usize {
         self.records.iter().map(|r| 12 + r.slots.len() * 13).sum()
     }
@@ -293,6 +295,15 @@ mod tests {
             apply_update(&mut cache, &bundle),
             Err(CoreError::ProtocolMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn wire_bytes_count_twelve_per_entry_and_thirteen_per_slot() {
+        // One two-slot entry (query 1) and one one-slot entry (query 2).
+        let cache = cache_with(&[(1, 10, 0.5), (1, 11, 0.4), (2, 20, 0.5)]);
+        let upload = UploadPayload::from_cache(&cache);
+        assert_eq!(upload.records.len(), 2);
+        assert_eq!(upload.wire_bytes(), (12 + 2 * 13) + (12 + 13));
     }
 
     #[test]

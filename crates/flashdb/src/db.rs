@@ -1,7 +1,7 @@
 //! The N-file result database over simulated flash.
 
 use std::borrow::Borrow;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use bytes::{Buf, BufMut, BytesMut};
 use mobsim::flash::{FlashError, FlashStore};
@@ -152,7 +152,7 @@ pub struct DbStats {
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 struct FileState {
     /// Live entries: hash → (offset, encoded length).
-    index: HashMap<u64, (u32, u32)>,
+    index: BTreeMap<u64, (u32, u32)>,
     /// Header slots available before a rebuild is needed.
     capacity: usize,
     /// Bytes of dead records in the data region.
@@ -198,17 +198,7 @@ impl ResultDb {
         }
         let mut files = Vec::with_capacity(config.n_files);
         for (i, bucket) in buckets.into_iter().enumerate() {
-            let capacity = bucket
-                .len()
-                .saturating_mul(2)
-                .next_power_of_two()
-                .max(config.initial_header_capacity);
-            let mut state = FileState {
-                index: HashMap::new(),
-                capacity,
-                dead_bytes: 0,
-            };
-            let bytes = Self::serialize_file(&bucket, capacity, &mut state);
+            let (bytes, state) = Self::serialize_file(&bucket, &config);
             flash.write_file(Self::file_name(i), bytes);
             files.push(state);
         }
@@ -287,13 +277,7 @@ impl ResultDb {
                 bucket.push(r);
             }
         }
-        let capacity = bucket
-            .len()
-            .saturating_mul(2)
-            .next_power_of_two()
-            .max(self.config.initial_header_capacity);
-        let mut state = FileState::default();
-        let bytes = Self::serialize_file(&bucket, capacity, &mut state);
+        let (bytes, state) = Self::serialize_file(&bucket, &self.config);
         let time = flash.write_file(name, bytes);
         self.files[index] = state;
         time
@@ -317,37 +301,14 @@ impl ResultDb {
 
     fn serialize_file<R: Borrow<ResultRecord>>(
         records: &[R],
-        capacity: usize,
-        state: &mut FileState,
-    ) -> Vec<u8> {
-        let header_bytes = HEADER_PREAMBLE_BYTES + capacity as u64 * HEADER_ENTRY_BYTES;
-        let mut data = BytesMut::new();
-        let mut entries = Vec::with_capacity(records.len());
+        config: &DbConfig,
+    ) -> (Vec<u8>, FileState) {
+        let data_bytes = records.iter().map(|r| r.borrow().encoded_len()).sum();
+        let mut image = FileImage::new(records.len(), data_bytes, config);
         for r in records {
-            let r = r.borrow();
-            let offset = header_bytes + data.len() as u64;
-            let encoded = r.encode();
-            entries.push((r.result_hash, offset as u32, encoded.len() as u32));
-            data.put_slice(&encoded);
+            image.push(r.borrow());
         }
-
-        let mut out = BytesMut::with_capacity((header_bytes + data.len() as u64) as usize);
-        out.put_u32_le(capacity as u32);
-        out.put_u32_le(entries.len() as u32);
-        for &(hash, offset, _) in &entries {
-            out.put_u64_le(hash);
-            out.put_u32_le(offset);
-        }
-        out.resize(header_bytes as usize, 0);
-        out.put_slice(&data);
-
-        state.index = entries
-            .iter()
-            .map(|&(hash, offset, len)| (hash, (offset, len)))
-            .collect();
-        state.capacity = capacity;
-        state.dead_bytes = 0;
-        out.to_vec()
+        image.finish()
     }
 
     /// Whether a record with this hash is stored.
@@ -473,7 +434,7 @@ impl ResultDb {
         }
 
         if self.files[file_idx].index.len() == self.files[file_idx].capacity {
-            return self.rebuild_file_with(file_idx, Some(record.clone()), flash);
+            return self.rebuild_file_with(file_idx, Some(record), flash);
         }
 
         let encoded = record.encode();
@@ -604,9 +565,7 @@ impl ResultDb {
         let mut out = BytesMut::with_capacity(state.header_bytes() as usize);
         out.put_u32_le(state.capacity as u32);
         out.put_u32_le(state.index.len() as u32);
-        let mut entries: Vec<(u64, u32)> = state.index.iter().map(|(&h, &(o, _))| (h, o)).collect();
-        entries.sort_unstable();
-        for (hash, offset) in entries {
+        for (&hash, &(offset, _)) in &state.index {
             out.put_u64_le(hash);
             out.put_u32_le(offset);
         }
@@ -614,40 +573,111 @@ impl ResultDb {
         Ok(flash.overwrite(&Self::file_name(file_idx), 0, &out)?)
     }
 
+    /// Rewrites file `file_idx` from its live records (in offset order)
+    /// plus `extra`. Each live record is read back and fully checked —
+    /// length prefixes, UTF-8 and CRC-32, as a decode would — and its
+    /// verified bytes are copied forward unchanged, which is exactly what
+    /// re-encoding the decoded record would write.
     fn rebuild_file_with(
         &mut self,
         file_idx: usize,
-        extra: Option<ResultRecord>,
+        extra: Option<&ResultRecord>,
         flash: &mut FlashStore,
     ) -> Result<SimDuration, DbError> {
         let name = Self::file_name(file_idx);
-        // Read back every live record.
-        let mut live = Vec::with_capacity(self.files[file_idx].index.len() + 1);
+        let state = &self.files[file_idx];
+        let mut live: Vec<(u32, u32)> = state.index.values().copied().collect();
+        live.sort_unstable();
+        let records = live.len() + usize::from(extra.is_some());
+        let data_bytes = live.iter().map(|&(_, len)| len as usize).sum::<usize>()
+            + extra.map_or(0, ResultRecord::encoded_len);
+        let mut image = FileImage::new(records, data_bytes, &self.config);
         let mut time = flash.open_cost();
-        {
-            let state = &self.files[file_idx];
-            let mut entries: Vec<(u64, (u32, u32))> =
-                state.index.iter().map(|(&h, &v)| (h, v)).collect();
-            entries.sort_unstable_by_key(|&(_, (o, _))| o);
-            for (_, (offset, len)) in entries {
-                let read = flash.read(&name, u64::from(offset), u64::from(len))?;
-                time += read.time;
-                live.push(ResultRecord::decode(&mut read.data.as_slice())?);
-            }
+        for (offset, len) in live {
+            let start = image.bytes.len();
+            time += flash.read_into(&name, u64::from(offset), u64::from(len), &mut image.bytes)?;
+            let (hash, encoded_len) = ResultRecord::check(&image.bytes[start..])?;
+            image.bytes.truncate(start + encoded_len);
+            image.entries.push((hash, start as u32, encoded_len as u32));
         }
         if let Some(r) = extra {
-            live.push(r);
+            image.push(r);
         }
-        let capacity = live
-            .len()
-            .saturating_mul(2)
-            .next_power_of_two()
-            .max(self.config.initial_header_capacity);
-        let mut state = FileState::default();
-        let bytes = Self::serialize_file(&live, capacity, &mut state);
+        let (bytes, state) = image.finish();
         time += flash.write_file(name, bytes);
         self.files[file_idx] = state;
         Ok(time)
+    }
+}
+
+/// One database file being laid out in memory: a zeroed header region
+/// sized for the file's capacity, then records appended in order.
+/// [`finish`](Self::finish) fills in the header.
+struct FileImage {
+    capacity: usize,
+    bytes: Vec<u8>,
+    /// `(hash, offset, encoded length)` of each record, in file order.
+    entries: Vec<(u64, u32, u32)>,
+}
+
+impl FileImage {
+    /// An empty image for `records` records of `data_bytes` in total;
+    /// the header gets room for twice that many records (rounded up to a
+    /// power of two, at least the configured minimum) so later inserts
+    /// can augment it in place. The buffer is sized exactly, so the file
+    /// the store keeps carries no spare capacity.
+    fn new(records: usize, data_bytes: usize, config: &DbConfig) -> Self {
+        let capacity = records
+            .saturating_mul(2)
+            .next_power_of_two()
+            .max(config.initial_header_capacity);
+        let header_bytes = (HEADER_PREAMBLE_BYTES + capacity as u64 * HEADER_ENTRY_BYTES) as usize;
+        let mut bytes = Vec::with_capacity(header_bytes + data_bytes);
+        bytes.resize(header_bytes, 0);
+        FileImage {
+            capacity,
+            bytes,
+            entries: Vec::with_capacity(records),
+        }
+    }
+
+    /// Appends a freshly encoded record.
+    fn push(&mut self, record: &ResultRecord) {
+        let offset = self.bytes.len();
+        record.encode_into(&mut self.bytes);
+        self.entries.push((
+            record.result_hash,
+            offset as u32,
+            (self.bytes.len() - offset) as u32,
+        ));
+    }
+
+    /// Writes the header and returns the file bytes with their mirror.
+    fn finish(self) -> (Vec<u8>, FileState) {
+        let FileImage {
+            capacity,
+            mut bytes,
+            entries,
+        } = self;
+        let mut header = Vec::with_capacity(
+            (HEADER_PREAMBLE_BYTES + entries.len() as u64 * HEADER_ENTRY_BYTES) as usize,
+        );
+        header.put_u32_le(capacity as u32);
+        header.put_u32_le(entries.len() as u32);
+        for &(hash, offset, _) in &entries {
+            header.put_u64_le(hash);
+            header.put_u32_le(offset);
+        }
+        bytes[..header.len()].copy_from_slice(&header);
+        let state = FileState {
+            index: entries
+                .iter()
+                .map(|&(hash, offset, len)| (hash, (offset, len)))
+                .collect(),
+            capacity,
+            dead_bytes: 0,
+        };
+        (bytes, state)
     }
 }
 
@@ -825,5 +855,50 @@ mod tests {
         let s = db.stats(&flash);
         let mb = s.allocated_bytes as f64 / 1e6;
         assert!((1.0..2.0).contains(&mb), "database occupied {mb:.2} MB");
+    }
+
+    #[test]
+    fn compaction_refuses_to_copy_a_corrupt_live_record_forward() {
+        use crate::patch::{apply_patch, DbPatch};
+        use mobsim::flash::WearModel;
+
+        let mut flash = FlashStore::new(FlashModel {
+            wear: WearModel::enabled_with_seed(17),
+            ..FlashModel::default()
+        });
+        let mut db = ResultDb::build((0..40).map(record), DbConfig::with_files(4), &mut flash);
+        // Wear out the block holding live record 8 (file 0) until a
+        // stuck bit lands inside it and changes what it reads back as.
+        let victim = 8;
+        let (offset, _) = db.files[0].index[&victim];
+        let block_bytes = flash.model().block_bytes;
+        let block =
+            flash.file_block_ids("psdb-000").unwrap()[(u64::from(offset) / block_bytes) as usize];
+        let mut aged = 0;
+        while db.get(victim, &flash).is_ok() {
+            flash.age_block(block, 1);
+            aged += 1;
+            assert!(aged < 10_000, "no stuck bit ever hit the record");
+        }
+        assert!(matches!(db.get(victim, &flash), Err(DbError::Corrupt(_))));
+
+        // Dead bytes in file 0 make compaction rewrite it; it must stop
+        // at the corrupt record and leave the file and mirror as they were.
+        assert!(db.remove(4, &mut flash).unwrap());
+        let (db_before, flash_before) = (db.clone(), flash.clone());
+        assert!(matches!(db.compact(&mut flash), Err(DbError::Corrupt(_))));
+        assert_eq!(db, db_before);
+        assert_eq!(flash, flash_before, "nothing was written");
+
+        // The nightly patch path reports the same typed error.
+        let patch = DbPatch {
+            adds: Vec::new(),
+            removes: vec![12],
+        };
+        assert!(matches!(
+            apply_patch(&mut db, &patch, &mut flash),
+            Err(DbError::Corrupt(_))
+        ));
+        assert!(db.contains(victim), "the corrupt record was not dropped");
     }
 }

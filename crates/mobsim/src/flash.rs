@@ -682,6 +682,25 @@ impl FlashStore {
     /// Returns [`FlashError::FileNotFound`] for unknown names and
     /// [`FlashError::ReadPastEnd`] when the range exceeds the file.
     pub fn read(&self, name: &str, offset: u64, len: u64) -> Result<TimedRead, FlashError> {
+        let mut data = Vec::new();
+        let time = self.read_into(name, offset, len, &mut data)?;
+        Ok(TimedRead { data, time })
+    }
+
+    /// [`read`](Self::read), appending the bytes to `out` instead of
+    /// returning a fresh buffer; returns the simulated read time. On
+    /// error `out` is left unchanged.
+    ///
+    /// # Errors
+    ///
+    /// The same as [`read`](Self::read).
+    pub fn read_into(
+        &self,
+        name: &str,
+        offset: u64,
+        len: u64,
+        out: &mut Vec<u8>,
+    ) -> Result<SimDuration, FlashError> {
         let file = self
             .files
             .get(name)
@@ -698,10 +717,10 @@ impl FlashStore {
                 })
             }
         };
-        let mut data = file[offset as usize..end as usize].to_vec();
-        self.apply_stuck_bits(name, offset, &mut data);
-        let time = self.model.read_page * self.model.pages_touched(offset, len);
-        Ok(TimedRead { data, time })
+        let start = out.len();
+        out.extend_from_slice(&file[offset as usize..end as usize]);
+        self.apply_stuck_bits(name, offset, &mut out[start..]);
+        Ok(self.model.read_page * self.model.pages_touched(offset, len))
     }
 
     /// Removes a file, returning whether it existed. Its blocks return to
@@ -1039,6 +1058,31 @@ mod tests {
         assert!(fs.wear_summary().stuck_bits > 0);
         // Block 0 is healthy; reads confined to it stay clean.
         assert_eq!(fs.read("f", 0, 4_096).unwrap().data, vec![0x00; 4_096]);
+    }
+
+    #[test]
+    fn read_into_appends_what_read_returns() {
+        let model = FlashModel {
+            wear: WearModel::enabled_with_seed(9),
+            ..FlashModel::default()
+        };
+        let mut fs = FlashStore::new(model);
+        fs.write_file("f", (0..8_192u32).map(|i| i as u8).collect());
+        let second = fs.file_block_ids("f").unwrap()[1];
+        fs.age_block(second, 400);
+        let mut out = vec![7u8; 3];
+        for (offset, len) in [(0, 100), (4_000, 500), (5_000, 3_000), (8_192, 0)] {
+            let read = fs.read("f", offset, len).unwrap();
+            let start = out.len();
+            let time = fs.read_into("f", offset, len, &mut out).unwrap();
+            assert_eq!(time, read.time);
+            assert_eq!(&out[start..], read.data.as_slice(), "stuck bits included");
+        }
+        assert_eq!(&out[..3], &[7, 7, 7], "earlier bytes are kept");
+        let before = out.clone();
+        assert!(fs.read_into("f", 8_000, 500, &mut out).is_err());
+        assert!(fs.read_into("g", 0, 1, &mut out).is_err());
+        assert_eq!(out, before, "a failed read appends nothing");
     }
 
     #[test]

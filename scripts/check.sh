@@ -38,14 +38,17 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo bench --no-run --workspace (benches must compile)"
 cargo bench --no-run --workspace --quiet
 
-echo "==> one wall-clock bench end to end (exactly one time: line)"
-out="$(cargo bench -q -p pocket-bench --bench hashtable -- hashtable/lookup_miss)"
-lines="$(grep -c 'time: \[' <<< "${out}" || true)"
-if [[ "${lines}" != 1 ]]; then
-  echo "expected exactly one time: line, got ${lines}:" >&2
-  echo "${out}" >&2
-  exit 1
-fi
+echo "==> two wall-clock benches end to end (exactly one time: line each)"
+for target_and_name in "hashtable hashtable/lookup_miss" "flashdb_ops flashdb/apply_patch_nightly"; do
+  read -r target name <<< "${target_and_name}"
+  out="$(cargo bench -q -p pocket-bench --bench "${target}" -- "${name}")"
+  lines="$(grep -c 'time: \[' <<< "${out}" || true)"
+  if [[ "${lines}" != 1 ]]; then
+    echo "${name}: expected exactly one time: line, got ${lines}:" >&2
+    echo "${out}" >&2
+    exit 1
+  fi
+done
 
 echo "==> cargo doc --no-deps --workspace (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet

@@ -313,7 +313,7 @@ mod wear_properties {
 
 #[test]
 fn update_protocol_survives_hostile_uploads() {
-    use pocket_cloudlets::core::hashtable::EntryRecord;
+    use pocket_cloudlets::core::hashtable::{EntryRecord, EntrySlots};
     use pocket_cloudlets::core::update::{UpdateServer, UploadPayload, PROTOCOL_VERSION};
 
     // An upload with nonsense salts, duplicate pairs, and extreme scores
@@ -324,12 +324,12 @@ fn update_protocol_survives_hostile_uploads() {
             EntryRecord {
                 query_hash: 1,
                 salt: 999, // out-of-chain salt
-                slots: vec![(10, f32::MAX, true), (10, -0.0, false)],
+                slots: EntrySlots::packed([Some((10, f32::MAX, true)), Some((10, -0.0, false))]),
             },
             EntryRecord {
                 query_hash: 1,
                 salt: 0,
-                slots: vec![(10, 0.5, true)],
+                slots: EntrySlots::packed([Some((10, 0.5, true)), None]),
             },
         ],
     };
