@@ -5,6 +5,8 @@
 //!   ids: lambda admission tiers freshness maps battery suggest radios
 //!        offload fleet frontend arbiter wear population peers hotpath
 //!        all
+//!   --out: exactly one artifact-writing study (frontend arbiter wear
+//!          population peers hotpath); anything else is a usage error
 //! ```
 //!
 //! * `lambda` — §5.3's decay constant: hit rate and ranking quality
@@ -133,6 +135,16 @@ const STUDIES: [&str; 16] = [
     "hotpath",
 ];
 
+/// The studies that write their run as JSON under `--out`.
+const ARTIFACT_STUDIES: [&str; 6] = [
+    "frontend",
+    "arbiter",
+    "wear",
+    "population",
+    "peers",
+    "hotpath",
+];
+
 fn parse_args() -> Options {
     let mut studies = Vec::new();
     let mut full_scale = true;
@@ -165,6 +177,16 @@ fn parse_args() -> Options {
     }
     if let Some(unknown) = studies.iter().find(|s| !STUDIES.contains(&s.as_str())) {
         eprintln!("unknown study {unknown:?}");
+        std::process::exit(2);
+    }
+    // One artifact per path: several artifact studies would overwrite
+    // each other's file, and a study without an artifact would ignore it.
+    let one_artifact = matches!(studies.as_slice(), [s] if ARTIFACT_STUDIES.contains(&s.as_str()));
+    if out.is_some() && !one_artifact {
+        eprintln!(
+            "--out needs exactly one artifact-writing study ({})",
+            ARTIFACT_STUDIES.join(" ")
+        );
         std::process::exit(2);
     }
     Options {

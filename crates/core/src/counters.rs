@@ -1,11 +1,10 @@
 //! Reusable lock-free statistics counters.
 //!
 //! Several layers keep monotonic per-lane statistics in banks of
-//! `AtomicU64`s — the front-end's lane counters, the peer fabric's
-//! consult counters, and the lock-free hash table's publication stats.
-//! Before this module each of them hand-rolled the same fields and the
-//! same `bump`/`peek` helpers (with the same memory-ordering
-//! justification copied alongside). [`CounterSet`] is the one shared
+//! `AtomicU64`s — the front-end's lane counters and the peer fabric's
+//! consult counters. Before this module each of them hand-rolled the
+//! same fields and the same `bump`/`peek` helpers (with the same
+//! memory-ordering justification copied alongside). [`CounterSet`] is the one shared
 //! implementation: a fixed-size bank of slots with relaxed
 //! bump/peek semantics, so the ordering argument lives in exactly one
 //! place.

@@ -17,7 +17,7 @@
 //!   *rejects* it with a typed [`CloudletError::QueueFull`] or *parks*
 //!   it until a slot drains. Rejection is deterministic in the request
 //!   stream, so shed load is reproducible.
-//! * **Duplicate-key coalescing.** Within a batch window, N requests
+//! * **Duplicate-key coalescing.** Within a batch, N requests
 //!   for the same `(service, key)` cost one underlying serve: the first
 //!   becomes the *leader*, the rest are *followers* that receive the
 //!   leader's outcome and complete when it does. Stats count N lookups
@@ -30,8 +30,9 @@
 //!   [`HitPathMode::SharedRead`] every request first consults
 //!   [`CloudletService::try_serve_hit`] under a *read* lock; only
 //!   misses and mutating serves take the write lock. Hits run on a
-//!   small read-worker pool instead of the lane's serial queue, so they
-//!   never wait behind a 6-second radio miss.
+//!   small read-worker pool ([`READ_WORKERS`] wide) instead of the
+//!   lane's serial queue, so they never wait behind a 6-second radio
+//!   miss.
 //! * **Work stealing.** When a lane's queue runs deep while a sibling
 //!   in the same service group idles, the request is admitted on the
 //!   sibling instead. Only meaningful for groups whose lanes are
@@ -47,7 +48,7 @@
 //! cloudlets) and runs a deterministic discrete-event simulation over
 //! the outcomes' simulated service times: each lane is one exclusive
 //! server draining its bounded queue FIFO; shared-read hits run on a
-//! `read_workers`-wide pool; followers complete with their leader.
+//! [`READ_WORKERS`]-wide pool; followers complete with their leader.
 //! Every completion instant, queue wait, and the batch makespan are
 //! pure functions of the request stream and the configuration, so
 //! reports are bit-reproducible across machines. With
@@ -124,6 +125,10 @@ pub enum HitPathMode {
     SharedRead,
 }
 
+/// Width of the shared-read worker pool that serves
+/// [`HitPathMode::SharedRead`] fast-path hits.
+pub const READ_WORKERS: usize = 4;
+
 /// Which request field picks the home lane within a service group.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RouteBy {
@@ -153,13 +158,9 @@ pub struct FrontendConfig {
     /// Bounded depth of each lane's exclusive serve queue (admitted but
     /// not yet completed requests).
     pub queue_depth: usize,
-    /// Whether duplicate `(service, key)` requests within a window
+    /// Whether duplicate `(service, key)` requests within a batch
     /// coalesce onto one underlying serve.
     pub coalescing: bool,
-    /// Length (in requests) of the coalescing window; duplicates only
-    /// coalesce onto a leader in the same window. `usize::MAX` treats
-    /// the whole batch as one window.
-    pub coalesce_window: usize,
     /// Hit-path mode.
     pub hit_path: HitPathMode,
     /// Overflow policy for full lane queues.
@@ -169,8 +170,6 @@ pub struct FrontendConfig {
     /// never with [`RouteBy::User`], which exists to keep a user's
     /// state on one lane.
     pub work_stealing: bool,
-    /// Width of the shared-read worker pool serving fast-path hits.
-    pub read_workers: usize,
     /// Which request field picks the home lane.
     pub route_by: RouteBy,
 }
@@ -180,11 +179,9 @@ impl Default for FrontendConfig {
         FrontendConfig {
             queue_depth: 64,
             coalescing: true,
-            coalesce_window: usize::MAX,
             hit_path: HitPathMode::SharedRead,
             overflow: OverflowPolicy::Park,
             work_stealing: false,
-            read_workers: 4,
             route_by: RouteBy::Key,
         }
     }
@@ -217,19 +214,15 @@ impl FrontendConfig {
         FrontendConfig {
             queue_depth: usize::MAX,
             coalescing: false,
-            coalesce_window: usize::MAX,
             hit_path: HitPathMode::Exclusive,
             overflow: OverflowPolicy::Park,
             work_stealing: false,
-            read_workers: 1,
             route_by: RouteBy::Key,
         }
     }
 
     fn validate(&self) {
         assert!(self.queue_depth > 0, "queue depth must be at least 1");
-        assert!(self.coalesce_window > 0, "coalesce window must be >= 1");
-        assert!(self.read_workers > 0, "the read pool needs a worker");
     }
 }
 
@@ -269,13 +262,6 @@ impl FrontendConfigBuilder {
         self
     }
 
-    /// Sets the coalescing window length, in requests.
-    #[must_use]
-    pub fn coalesce_window(mut self, window: usize) -> Self {
-        self.config.coalesce_window = window;
-        self
-    }
-
     /// Sets the hit-path mode.
     #[must_use]
     pub fn hit_path(mut self, hit_path: HitPathMode) -> Self {
@@ -297,13 +283,6 @@ impl FrontendConfigBuilder {
         self
     }
 
-    /// Sets the width of the shared-read worker pool.
-    #[must_use]
-    pub fn read_workers(mut self, read_workers: usize) -> Self {
-        self.config.read_workers = read_workers;
-        self
-    }
-
     /// Sets which request field picks the home lane.
     #[must_use]
     pub fn route_by(mut self, route_by: RouteBy) -> Self {
@@ -315,8 +294,7 @@ impl FrontendConfigBuilder {
     ///
     /// # Panics
     ///
-    /// Panics when the configuration is invalid (zero queue depth,
-    /// window, or read pool).
+    /// Panics when the configuration is invalid (zero queue depth).
     pub fn build(self) -> FrontendConfig {
         self.config.validate();
         self.config
@@ -781,7 +759,7 @@ impl Frontend {
     /// # Panics
     ///
     /// Panics when any group is empty or the configuration is invalid
-    /// (zero queue depth, window, or read pool).
+    /// (zero queue depth).
     pub fn new(
         groups: Vec<Vec<Box<dyn CloudletService + Send + Sync>>>,
         config: FrontendConfig,
@@ -1086,21 +1064,14 @@ impl Frontend {
             .collect::<Result<_, _>>()?;
 
         let mut sims: Vec<LaneSim> = (0..self.lanes.len()).map(|_| LaneSim::new()).collect();
-        let mut read_pool = vec![SimInstant::ZERO; self.config.read_workers];
+        let mut read_pool = [SimInstant::ZERO; READ_WORKERS];
         let mut in_flight: HashMap<(u32, u64), CoalesceEntry> = HashMap::new();
-        let mut window = 0usize;
         let mut batch_lanes = vec![LaneTotals::default(); self.lanes.len()];
         let mut served = Vec::with_capacity(requests.len());
         let mut waits: Vec<u64> = Vec::with_capacity(requests.len());
         let mut last_completion = SimInstant::ZERO;
 
-        for (i, (request, &home)) in requests.iter().zip(&homes).enumerate() {
-            if self.config.coalesce_window != usize::MAX
-                && i / self.config.coalesce_window != window
-            {
-                window = i / self.config.coalesce_window;
-                in_flight.clear();
-            }
+        for (request, &home) in requests.iter().zip(&homes) {
             let t = request.at;
             let unqueued = |lane, outcome| FrontServed {
                 outcome,
@@ -1113,7 +1084,7 @@ impl Frontend {
             };
 
             let disposition = 'serve: {
-                // Follower: ride an already-served leader in this window.
+                // Follower: ride an already-served leader in this batch.
                 if let Some(entry) = in_flight.get(&(request.service, request.key)) {
                     let completed_at = entry.completion.max(t);
                     break 'serve FrontServed {
@@ -1357,7 +1328,6 @@ mod tests {
     fn shared_read_hits_bypass_the_exclusive_queue() {
         let mut config = FrontendConfig::pr3_baseline();
         config.hit_path = HitPathMode::SharedRead;
-        config.read_workers = 2;
         let fe = frontend(1, config);
         // One slow miss plus two hits: hits ride the read pool, so the
         // makespan is the miss alone, not miss + hits.
@@ -1395,20 +1365,6 @@ mod tests {
         assert_eq!(batch.served[3].queue_wait, SimDuration::from_secs(1));
         // The cloudlet itself served exactly once.
         assert_eq!(fe.telemetry().lanes[0].stats.serves, 1);
-    }
-
-    #[test]
-    fn coalesce_windows_bound_the_sharing() {
-        let mut config = FrontendConfig::pr3_baseline();
-        config.coalescing = true;
-        config.coalesce_window = 2;
-        let fe = frontend(1, config);
-        let batch = fe
-            .serve_batch(&zero_batch(&[200, 200, 200, 200]))
-            .expect("toy batch");
-        // Windows [0,1] and [2,3]: one leader + one follower each.
-        assert_eq!(batch.report.coalesced(), 2);
-        assert_eq!(batch.report.unique_serves(), 2);
     }
 
     #[test]
@@ -1607,23 +1563,20 @@ mod tests {
         let config = FrontendConfig::builder()
             .queue_depth(8)
             .coalescing(false)
-            .coalesce_window(16)
             .hit_path(HitPathMode::Exclusive)
             .overflow(OverflowPolicy::Reject)
             .work_stealing(true)
-            .read_workers(2)
+            .route_by(RouteBy::User)
             .build();
         assert_eq!(
             config,
             FrontendConfig {
                 queue_depth: 8,
                 coalescing: false,
-                coalesce_window: 16,
                 hit_path: HitPathMode::Exclusive,
                 overflow: OverflowPolicy::Reject,
                 work_stealing: true,
-                read_workers: 2,
-                route_by: RouteBy::Key,
+                route_by: RouteBy::User,
             }
         );
         // Presets re-open into builders without drifting.

@@ -7,32 +7,17 @@
 //! without any lock acquisition. Each published bucket carries
 //!
 //! * the `(query_hash, salt)` identity of one chain entry,
-//! * its up-to-two scored results **inline and immutable**, and
-//! * the §5.2 64-bit flags word in an `AtomicU64`, *shared across
-//!   republished snapshots* (via `Arc`) whenever the entry's slot
-//!   layout is unchanged — so a flag bit set lock-free between two
-//!   publishes is never lost to a rebuild.
+//! * its up-to-two scored results inline, and
+//! * a copy of the entry's §5.2 64-bit flags word.
 //!
 //! Readers therefore serve hits with zero locks; writers keep mutating
-//! the locked `QueryHashTable` and republish the mirror afterwards
-//! (see `ShardedTable::write`). Lookup results are bit-identical to
-//! [`super::QueryHashTable::lookup`]: same chain walk, same
+//! the locked `QueryHashTable` (clicks included) and republish the
+//! mirror afterwards (see `ShardedTable::write`), so the mirror never
+//! holds state the locked table lacks. Lookup results are bit-identical
+//! to [`super::QueryHashTable::lookup`]: same chain walk, same
 //! `(score desc, result_hash asc)` ordering, same miss semantics —
 //! `tests/hotpath_equivalence.rs` proves this over 256 random tables.
-//!
-//! One caveat follows from the split: flag bits set through
-//! [`AtomicTable::mark_accessed`] live in the mirror only until a
-//! writer folds the same information into the locked table. Paths that
-//! need locked/lock-free bit-identity (everything the equivalence
-//! suite covers) mark accesses through the locked table and let the
-//! republish propagate them; the lock-free setter exists for read-path
-//! §5.2 bookkeeping where the mirror *is* the table of record.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-use crate::counters::CounterSet;
-use crate::error::CoreError;
 use crate::snapshot::SnapshotCell;
 
 use super::{QueryHashTable, ScoredResult, SLOTS_PER_ENTRY};
@@ -48,14 +33,13 @@ const STATE_OCCUPIED: u32 = 1;
 const STATE_LAST: u32 = 2;
 
 /// One open-addressed bucket: a chain entry's identity and `STATE_*`
-/// tag, its inline scored results, and the shared flags word.
+/// tag, its inline scored results, and its flags word.
 ///
 /// Sized and aligned to exactly one 64-byte cache line so a hit costs
 /// a single line fill — the locked path's `HashMap` probe touches a
 /// SwissTable control group *and* its entry (twice, for salt 0 and the
 /// salt-1 miss), and undercutting that is where the lock-free win
-/// comes from. `flags` is `None` exactly when `state` is
-/// [`STATE_EMPTY`].
+/// comes from.
 #[repr(align(64))]
 #[derive(Debug, Clone)]
 struct Bucket {
@@ -70,7 +54,8 @@ struct Bucket {
     state: u32,
     /// Bit `i`: slot `i` holds a result.
     present: u32,
-    flags: Option<Arc<AtomicU64>>,
+    /// The entry's §5.2 flags word; bit `i` marks slot `i` accessed.
+    flags: u64,
 }
 
 const EMPTY_BUCKET: Bucket = Bucket {
@@ -80,7 +65,7 @@ const EMPTY_BUCKET: Bucket = Bucket {
     salt: 0,
     state: STATE_EMPTY,
     present: 0,
-    flags: None,
+    flags: 0,
 };
 
 // The one-line-per-hit property above is load-bearing for the
@@ -108,8 +93,6 @@ struct TableSnapshot {
     mask: u64,
     /// `64 - log2(capacity)`: the Fibonacci-hash downshift.
     shift: u32,
-    entries: usize,
-    pairs: usize,
 }
 
 /// Fibonacci (multiply-shift) mix of the `(query_hash, salt)` chain
@@ -128,9 +111,8 @@ fn tag_of(mixed: u64) -> u8 {
 }
 
 impl TableSnapshot {
-    /// Builds an image of `table`, carrying flag words over from
-    /// `carry` for entries whose slot layout is unchanged.
-    fn build(table: &QueryHashTable, carry: Option<&TableSnapshot>) -> TableSnapshot {
+    /// Builds an image of `table`.
+    fn build(table: &QueryHashTable) -> TableSnapshot {
         // ≤ 80% load: probe chains stay short while the bucket array
         // stays close to the locked table's footprint (oversizing it
         // costs TLB and DRAM locality on six-figure tables).
@@ -140,7 +122,6 @@ impl TableSnapshot {
         let shift = u64::BITS - capacity.trailing_zeros();
         let mut tags: Vec<u8> = vec![TAG_EMPTY; capacity];
         let mut buckets: Vec<Bucket> = vec![EMPTY_BUCKET; capacity];
-        let mut pairs = 0;
         for (&(query_hash, salt), entry) in &table.entries {
             let state = if table.entries.contains_key(&(query_hash, salt + 1)) {
                 STATE_OCCUPIED
@@ -157,31 +138,6 @@ impl TableSnapshot {
                     present |= 1 << i;
                 }
             }
-            pairs += present.count_ones() as usize;
-            let carried = carry.and_then(|old| old.find(query_hash, salt));
-            // "Identical layout" is bitwise: same present mask, same
-            // result hashes, bit-equal scores.
-            let same_layout = |old: &Bucket| {
-                old.present == present
-                    && old.result_hashes == result_hashes
-                    && old.scores.map(f32::to_bits) == scores.map(f32::to_bits)
-            };
-            let flags = match carried {
-                Some((_, old_bucket)) if same_layout(old_bucket) => {
-                    // Identical layout: keep the shared word so flag
-                    // bits set lock-free since the last publish
-                    // survive, and fold in bits the locked table has
-                    // accumulated meanwhile. AcqRel: publishes and
-                    // lock-free setters agree on the merged word.
-                    if let Some(old_flags) = &old_bucket.flags {
-                        old_flags.fetch_or(entry.flags, Ordering::AcqRel);
-                        Some(Arc::clone(old_flags))
-                    } else {
-                        Some(Arc::new(AtomicU64::new(entry.flags)))
-                    }
-                }
-                _ => Some(Arc::new(AtomicU64::new(entry.flags))),
-            };
             let mixed = probe_mix(query_hash, salt);
             let mut idx = mixed >> shift;
             while tags[idx as usize] != TAG_EMPTY {
@@ -195,7 +151,7 @@ impl TableSnapshot {
                 salt,
                 state,
                 present,
-                flags,
+                flags: entry.flags,
             };
         }
         TableSnapshot {
@@ -203,8 +159,6 @@ impl TableSnapshot {
             buckets,
             mask,
             shift,
-            entries: table.entries.len(),
-            pairs,
         }
     }
 
@@ -237,20 +191,12 @@ impl TableSnapshot {
         let mut out = Vec::new();
         let mut salt = 0u32;
         while let Some((last, bucket)) = self.find(query_hash, salt) {
-            // Acquire: pairs with the AcqRel `fetch_or` in
-            // `mark_accessed`/`build`, so an observed bit implies the
-            // marking store is fully visible. Occupied buckets always
-            // carry a flags word; the 0 default is dead code.
-            let flags = bucket
-                .flags
-                .as_ref()
-                .map_or(0, |f| f.load(Ordering::Acquire));
             for i in 0..SLOTS_PER_ENTRY {
                 if bucket.present & (1 << i) != 0 {
                     out.push(ScoredResult {
                         result_hash: bucket.result_hashes[i],
                         score: bucket.scores[i],
-                        accessed: flags & (1 << i) != 0,
+                        accessed: bucket.flags & (1 << i) != 0,
                     });
                 }
             }
@@ -271,15 +217,6 @@ impl TableSnapshot {
     }
 }
 
-/// Publication statistics of one [`AtomicTable`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AtomicTableStats {
-    /// Snapshot republishes since construction.
-    pub publishes: u64,
-    /// Lock-free accessed-flag sets since construction.
-    pub flag_sets: u64,
-}
-
 /// A lock-free read mirror of one [`QueryHashTable`].
 ///
 /// # Example
@@ -297,38 +234,24 @@ pub struct AtomicTableStats {
 #[derive(Debug)]
 pub struct AtomicTable {
     cell: SnapshotCell<TableSnapshot>,
-    stats: CounterSet<2>,
 }
 
 impl AtomicTable {
-    const PUBLISHES: usize = 0;
-    const FLAG_SETS: usize = 1;
-
-    /// An empty mirror.
-    pub fn new() -> Self {
-        AtomicTable::from_table(&QueryHashTable::new())
-    }
-
     /// A mirror imaging `table` as its first snapshot.
     pub fn from_table(table: &QueryHashTable) -> Self {
         AtomicTable {
-            cell: SnapshotCell::new(TableSnapshot::build(table, None)),
-            stats: CounterSet::new(),
+            cell: SnapshotCell::new(TableSnapshot::build(table)),
         }
     }
 
-    /// Rebuilds and publishes the image of `table`, carrying shared
-    /// flag words over for entries whose slot layout is unchanged.
+    /// Rebuilds and publishes the image of `table`.
     ///
     /// Callers serialize republishes through whatever lock guards the
     /// source table (the shard write guard does this automatically);
-    /// two racing republishes could otherwise interleave their
-    /// load/publish pairs and drop one rebuild.
+    /// two racing republishes could otherwise publish out of order and
+    /// leave an older image current.
     pub fn republish_from(&self, table: &QueryHashTable) {
-        let old = self.cell.load_full();
-        let next = TableSnapshot::build(table, Some(&old));
-        self.cell.publish(next);
-        self.stats.bump(Self::PUBLISHES, 1);
+        self.cell.publish(TableSnapshot::build(table));
     }
 
     /// All results linked to a query, best score first, or `None` on a
@@ -341,108 +264,6 @@ impl AtomicTable {
     /// Whether the mirror holds any result for `query_hash`, lock-free.
     pub fn contains_query(&self, query_hash: u64) -> bool {
         self.cell.read(|snap| snap.find(query_hash, 0).is_some())
-    }
-
-    /// Current score of a pair, with [`QueryHashTable::score`]'s error
-    /// contract.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::QueryNotCached`] when the query misses entirely;
-    /// [`CoreError::ResultNotLinked`] when the query exists but the
-    /// result is not among its slots.
-    pub fn score(&self, query_hash: u64, result_hash: u64) -> Result<f32, CoreError> {
-        let results = self
-            .lookup(query_hash)
-            .ok_or(CoreError::QueryNotCached { query_hash })?;
-        results
-            .iter()
-            .find(|r| r.result_hash == result_hash)
-            .map(|r| r.score)
-            .ok_or(CoreError::ResultNotLinked {
-                query_hash,
-                result_hash,
-            })
-    }
-
-    /// Sets a pair's accessed bit lock-free (`fetch_or` on the shared
-    /// flags word), with [`QueryHashTable::mark_accessed`]'s error
-    /// contract. The bit survives republishes of an unchanged entry;
-    /// see the module docs for when it reaches the locked table.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`AtomicTable::score`].
-    pub fn mark_accessed(&self, query_hash: u64, result_hash: u64) -> Result<(), CoreError> {
-        let outcome = self.cell.read(|snap| {
-            let mut salt = 0u32;
-            let mut query_seen = false;
-            while let Some((last, bucket)) = snap.find(query_hash, salt) {
-                query_seen = true;
-                for i in 0..SLOTS_PER_ENTRY {
-                    if bucket.present & (1 << i) != 0 && bucket.result_hashes[i] == result_hash {
-                        // AcqRel: the set must be visible to the next
-                        // publish's carry-over merge and to readers
-                        // that observe the bit.
-                        if let Some(flags) = &bucket.flags {
-                            flags.fetch_or(1 << i, Ordering::AcqRel);
-                        }
-                        return Ok(());
-                    }
-                }
-                if last {
-                    break;
-                }
-                salt += 1;
-            }
-            if query_seen {
-                Err(CoreError::ResultNotLinked {
-                    query_hash,
-                    result_hash,
-                })
-            } else {
-                Err(CoreError::QueryNotCached { query_hash })
-            }
-        });
-        if outcome.is_ok() {
-            self.stats.bump(Self::FLAG_SETS, 1);
-        }
-        outcome
-    }
-
-    /// Number of mirrored chain entries.
-    pub fn entry_count(&self) -> usize {
-        self.cell.read(|snap| snap.entries)
-    }
-
-    /// Number of mirrored `(query, result)` pairs.
-    pub fn pair_count(&self) -> usize {
-        self.cell.read(|snap| snap.pairs)
-    }
-
-    /// Whether the mirror holds no pairs.
-    pub fn is_empty(&self) -> bool {
-        self.pair_count() == 0
-    }
-
-    /// DRAM footprint of the mirrored table under the paper's fixed
-    /// entry layout (matches [`QueryHashTable::footprint_bytes`]).
-    pub fn footprint_bytes(&self) -> usize {
-        self.entry_count() * QueryHashTable::layout_bytes(SLOTS_PER_ENTRY)
-    }
-
-    /// Publication statistics.
-    pub fn stats(&self) -> AtomicTableStats {
-        AtomicTableStats {
-            publishes: self.stats.peek(Self::PUBLISHES),
-            flag_sets: self.stats.peek(Self::FLAG_SETS),
-        }
-    }
-}
-
-impl Default for AtomicTable {
-    fn default() -> Self {
-        AtomicTable::new()
     }
 }
 
@@ -476,101 +297,10 @@ mod tests {
         for (queries, per_query) in [(0, 0), (1, 1), (7, 2), (40, 3), (13, 5)] {
             let table = seeded_table(queries, per_query);
             let mirror = AtomicTable::from_table(&table);
-            assert_eq!(mirror.entry_count(), table.entry_count());
-            assert_eq!(mirror.pair_count(), table.pair_count());
-            assert_eq!(mirror.footprint_bytes(), table.footprint_bytes());
             for q in 0..queries + 5 {
                 assert_eq!(mirror.lookup(q), table.lookup(q), "query {q}");
                 assert_eq!(mirror.contains_query(q), table.contains_query(q));
             }
         }
-    }
-
-    #[test]
-    fn score_and_mark_accessed_share_the_locked_error_contract() {
-        let table = seeded_table(4, 2);
-        let mirror = AtomicTable::from_table(&table);
-        assert_eq!(
-            mirror.score(1, 1_010).unwrap(),
-            table.score(1, 1_010).unwrap()
-        );
-        assert!(matches!(
-            mirror.score(99, 1),
-            Err(CoreError::QueryNotCached { query_hash: 99 })
-        ));
-        assert!(matches!(
-            mirror.mark_accessed(1, 42),
-            Err(CoreError::ResultNotLinked { .. })
-        ));
-        assert!(matches!(
-            mirror.mark_accessed(99, 1),
-            Err(CoreError::QueryNotCached { .. })
-        ));
-    }
-
-    #[test]
-    fn lock_free_flag_sets_survive_same_layout_republishes() {
-        let table = seeded_table(6, 2);
-        let mirror = AtomicTable::from_table(&table);
-        mirror.mark_accessed(1, 1_011).expect("pair exists");
-        let accessed = |m: &AtomicTable, q: u64, r: u64| {
-            m.lookup(q)
-                .expect("query cached")
-                .iter()
-                .find(|s| s.result_hash == r)
-                .expect("result linked")
-                .accessed
-        };
-        assert!(accessed(&mirror, 1, 1_011));
-        // Republishing the unchanged table keeps the lock-free bit...
-        mirror.republish_from(&table);
-        assert!(accessed(&mirror, 1, 1_011), "bit lost to a republish");
-        // ...and folds in bits the locked table accumulated meanwhile.
-        let mut table2 = table.clone();
-        table2.mark_accessed(2, 1_020).expect("pair exists");
-        mirror.republish_from(&table2);
-        assert!(accessed(&mirror, 2, 1_020));
-        assert!(accessed(&mirror, 1, 1_011));
-        assert_eq!(mirror.stats().publishes, 2);
-        assert_eq!(mirror.stats().flag_sets, 1);
-    }
-
-    #[test]
-    fn changed_entries_take_the_locked_tables_flags() {
-        let mut table = seeded_table(3, 2);
-        let mirror = AtomicTable::from_table(&table);
-        mirror.mark_accessed(1, 1_010).expect("pair exists");
-        // Adding a third result reshapes query 1's chain; the republished
-        // entry layout for (1, salt 1) is new, but (1, salt 0) is
-        // unchanged and keeps the carried bit.
-        table.upsert(1, 9_999, 0.9, ConflictPolicy::Max);
-        mirror.republish_from(&table);
-        assert_eq!(
-            mirror.lookup(1),
-            table
-                .lookup(1)
-                .map(|mut expected| {
-                    // The locked table never saw the lock-free bit, so fold it
-                    // into the expectation for the unchanged slot.
-                    for r in &mut expected {
-                        if r.result_hash == 1_010 {
-                            r.accessed = true;
-                        }
-                    }
-                    expected
-                })
-                .expect("query cached")
-                .into()
-        );
-        assert!(mirror.lookup(1).is_some());
-    }
-
-    #[test]
-    fn empty_and_default_mirrors_miss_everything() {
-        let mirror = AtomicTable::default();
-        assert!(mirror.is_empty());
-        assert_eq!(mirror.lookup(0), None);
-        assert!(!mirror.contains_query(0));
-        assert_eq!(mirror.stats(), AtomicTableStats::default());
     }
 }

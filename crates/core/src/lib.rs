@@ -53,8 +53,7 @@
 //! * [`snapshot`] — the safe `arc-swap`-style [`snapshot::SnapshotCell`]
 //!   the lock-free read path publishes through.
 //! * [`counters`] — the shared lock-free [`counters::CounterSet`]
-//!   statistics bank used by the front-end, the search fleet, and the
-//!   atomic table.
+//!   statistics bank used by the front-end and the peer fabric.
 //!
 //! # Scaling beyond one device
 //!
@@ -115,7 +114,7 @@ pub use frontend::{
     Frontend, FrontendConfig, FrontendReport, FrontendTelemetry, HitPathMode, OverflowPolicy,
     RouteBy, ServeRequest,
 };
-pub use hashtable::atomic::{AtomicTable, AtomicTableStats};
+pub use hashtable::atomic::AtomicTable;
 pub use hashtable::{QueryHashTable, ScoredResult, SLOTS_PER_ENTRY};
 pub use peer::{BloomSummary, PeerConfig, PeerConsult, PeerFabric, PeerFabricStats};
 pub use population::{PairTable, PopulationConfig, PopulationLane, PopulationResidency};

@@ -36,7 +36,10 @@
 //! atomic loads only. The front-end lane lock is still taken (shared,
 //! [`FRONT_LANE`]) to pin the service slot, but the [`SHARD`] rank is
 //! only reached by misses and updates, which keep the ordered write
-//! path.
+//! path. Mirrors are read-only images: every write, click flags
+//! included, goes to a locked or owned `QueryHashTable`, shard mirrors
+//! are republished under the shard write guard, and community mirrors
+//! are frozen, so no write path escapes the rank order.
 //!
 //! The cooperative peer tier keeps the same shape: each device's
 //! summary (Bloom filter + exact inventory) is **published through a

@@ -176,15 +176,6 @@ impl ShardedTable {
         }
     }
 
-    /// The lock-free read mirror of one shard.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `shard` is out of range.
-    pub fn mirror(&self, shard: usize) -> &AtomicTable {
-        &self.mirrors[shard]
-    }
-
     /// Looks `query_hash` up in its owning shard's lock-free mirror —
     /// zero lock acquisitions; results match the unsharded table's
     /// ordering exactly.
@@ -318,7 +309,6 @@ mod tests {
         let results = sharded.lookup(q).expect("query cached");
         assert_eq!(results[0].result_hash, 7_777);
         assert_eq!(sharded.lookup(q), sharded.lookup_locked(q));
-        assert_eq!(sharded.mirror(sharded.shard_of(q)).stats().publishes, 1);
     }
 
     #[test]

@@ -34,8 +34,7 @@
 //! Memory ordering: the `Acquire` version load pairs with the
 //! `Release` bump in [`SnapshotCell::publish`], so a reader that
 //! observes version `v` also observes every write the publisher made
-//! before bumping to `v` — including stores into the shared atomic
-//! flag words that snapshots carry across republishes.
+//! before bumping to `v`.
 //!
 //! The writer-side mutex is a leaf: nothing is ever acquired while it
 //! is held, so it needs no rank in the workspace lock order (see
@@ -141,12 +140,6 @@ impl<T: Send + Sync + 'static> SnapshotCell<T> {
         })
     }
 
-    /// Clones the current snapshot handle (always coherent; may take
-    /// the writer-side mutex, so not for the hot path).
-    pub fn load_full(&self) -> Arc<T> {
-        self.resolve_slow().1
-    }
-
     /// Replaces the snapshot. Readers that already resolved the old
     /// snapshot finish on it; new reads observe the new one.
     pub fn publish(&self, value: T) {
@@ -219,15 +212,6 @@ mod tests {
         let _ = cell.read(|v| *v); // warm the cache
         let product = cell.read(|a| cell.read(|b| a * b));
         assert_eq!(product, 25);
-    }
-
-    #[test]
-    fn load_full_is_coherent_with_publish() {
-        let cell = SnapshotCell::new(vec![1u8]);
-        let before = cell.load_full();
-        cell.publish(vec![2, 3]);
-        assert_eq!(*before, vec![1], "resolved snapshots are immutable");
-        assert_eq!(*cell.load_full(), vec![2, 3]);
     }
 
     #[test]

@@ -14,6 +14,9 @@ cargo run -q -p cloudlet-analysis --bin lint
 echo "==> cargo build --release"
 cargo build --release
 
+echo "==> perfbench builds against the current API and its lockfile"
+cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test -q -p cloudlet-core --lib arbiter (fast arbiter gate)"
 cargo test -q -p cloudlet-core --lib arbiter
 

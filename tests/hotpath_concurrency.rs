@@ -1,10 +1,10 @@
 //! Lock-free hot path under interleaving: snapshot reads must never
-//! observe a torn table, and accessed-flag bits set lock-free during
-//! reads must never be lost to a concurrent republish.
+//! observe a torn table while a writer republishes the mirror.
 //!
-//! Thread counts follow the benchmark sweep (8 and 32); iteration
-//! counts are modest because the suite also runs on small hosts —
-//! these are interleaving smoke tests, not throughput measurements.
+//! The reader count follows the benchmark sweep's middle point (8);
+//! iteration counts are modest because the suite also runs on small
+//! hosts — this is an interleaving smoke test, not a throughput
+//! measurement.
 
 use pocket_cloudlets::core::hashtable::atomic::AtomicTable;
 use pocket_cloudlets::core::hashtable::{ConflictPolicy, QueryHashTable};
@@ -24,7 +24,8 @@ fn world_a_and_b(queries: u64) -> (QueryHashTable, QueryHashTable) {
 
 /// 8 reader threads race a writer republishing alternating snapshots:
 /// every lookup must equal exactly table A's or table B's answer —
-/// same results, same order, never a mix or a partial table.
+/// same results, same order, never a mix or a partial table — and once
+/// the storm ends every lookup answers from the last publish (A).
 #[test]
 fn readers_see_only_whole_snapshots_during_republishes() {
     const QUERIES: u64 = 64;
@@ -58,62 +59,9 @@ fn readers_see_only_whole_snapshots_during_republishes() {
             }
         });
     });
-    assert_eq!(mirror.stats().publishes, REPUBLISHES as u64);
-}
-
-/// 32 threads set accessed flags lock-free while a writer republishes
-/// the same layout underneath them: every bit set must survive every
-/// republish (the shared flags word is carried across snapshots).
-#[test]
-fn flag_bits_set_during_reads_survive_republishes() {
-    const QUERIES: u64 = 64;
-    const MARKERS: usize = 32;
-    const REPUBLISHES: usize = 100;
-
-    let mut table = QueryHashTable::new();
+    // An even count makes the last republish (odd index) table A's.
+    const _: () = assert!(REPUBLISHES.is_multiple_of(2));
     for q in 0..QUERIES {
-        table.upsert(q, 10_000 + q, 0.9, ConflictPolicy::Max);
-        table.upsert(q, 20_000 + q, 0.1, ConflictPolicy::Max);
+        assert_eq!(mirror.lookup(q), a.lookup(q), "query {q} after the storm");
     }
-    let mirror = AtomicTable::from_table(&table);
-    std::thread::scope(|scope| {
-        for t in 0..MARKERS {
-            let mirror = &mirror;
-            scope.spawn(move || {
-                // Each thread owns two queries and marks both results,
-                // re-marking across the republish storm (idempotent).
-                for round in 0..50 {
-                    for q in [t as u64 * 2, t as u64 * 2 + 1] {
-                        mirror
-                            .mark_accessed(q, 10_000 + q)
-                            .expect("pair is always cached");
-                        if round % 2 == 1 {
-                            mirror
-                                .mark_accessed(q, 20_000 + q)
-                                .expect("pair is always cached");
-                        }
-                    }
-                }
-            });
-        }
-        scope.spawn(|| {
-            for _ in 0..REPUBLISHES {
-                // Identical layout: the rebuild must carry every
-                // concurrently-set bit over, never resetting one.
-                mirror.republish_from(&table);
-            }
-        });
-    });
-
-    for q in 0..QUERIES {
-        let results = mirror.lookup(q).expect("query is cached");
-        for r in results {
-            assert!(
-                r.accessed,
-                "query {q} result {}: accessed bit lost across republishes",
-                r.result_hash
-            );
-        }
-    }
-    assert!(mirror.stats().flag_sets >= (MARKERS as u64) * 2 * 50);
 }
